@@ -176,8 +176,8 @@ func largeJoinFixture() (*table.Catalog, *query.Query, *plan.Node) {
 		Join(expr.Identity("BIG.a"), expr.Identity("SM.k")).
 		MustBuild()
 	tree := plan.NewJoin(
-		plan.NewLeaf(query.NewAliasSet("BIG")),
-		plan.NewLeaf(query.NewAliasSet("SM")),
+		plan.NewLeaf(q.Set("BIG")),
+		plan.NewLeaf(q.Set("SM")),
 	)
 	return cat, q, tree
 }
@@ -231,6 +231,7 @@ func benchPlanPhase(b *testing.B, planWorkers int) {
 	sc := harness.Small()
 	cat := tpch.Generate(tpch.Config{ScaleFactor: sc.TPCHSF, Seed: sc.Seed})
 	queries := tpch.Queries()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {

@@ -2,12 +2,14 @@ package imdb
 
 import (
 	"errors"
+	"hash/fnv"
 	"testing"
 
 	"monsoon/internal/cost"
 	"monsoon/internal/engine"
 	"monsoon/internal/opt"
 	"monsoon/internal/stats"
+	"monsoon/internal/table"
 )
 
 func TestGenerateShape(t *testing.T) {
@@ -76,6 +78,40 @@ func TestBootstrapScaling(t *testing.T) {
 	if big.MustGet("cast_info").Count() != 5*small.MustGet("cast_info").Count() {
 		t.Errorf("bootstrap 5x failed: %d vs %d",
 			big.MustGet("cast_info").Count(), small.MustGet("cast_info").Count())
+	}
+}
+
+// fingerprints digests every table of a catalog: its rows in order.
+func fingerprints(cat *table.Catalog) map[string]uint64 {
+	out := map[string]uint64{}
+	for _, name := range cat.Names() {
+		h := fnv.New64a()
+		for _, row := range cat.MustGet(name).Rows {
+			for _, v := range row {
+				x := v.Hash()
+				h.Write([]byte{byte(x), byte(x >> 8), byte(x >> 16), byte(x >> 24),
+					byte(x >> 32), byte(x >> 40), byte(x >> 48), byte(x >> 56)})
+			}
+			h.Write([]byte{0x1e})
+		}
+		out[name] = h.Sum64()
+	}
+	return out
+}
+
+// TestGenerateBootstrapDeterministic: bootstrapped catalogs resample every
+// table from one RNG stream, so the tables must be visited in a fixed order
+// for one seed to give one catalog.
+func TestGenerateBootstrapDeterministic(t *testing.T) {
+	cfg := Config{Titles: 500, Bootstrap: 3, Seed: 1}
+	a, b := fingerprints(Generate(cfg)), fingerprints(Generate(cfg))
+	if len(a) != 10 {
+		t.Fatalf("catalog has %d tables", len(a))
+	}
+	for name, fa := range a {
+		if b[name] != fa {
+			t.Errorf("table %s differs between two generations of one seed", name)
+		}
 	}
 }
 

@@ -159,7 +159,7 @@ func buildCase(name string, spec chainSpec) Case {
 	// Hand-written best plan: the empty pair first, then the chain order.
 	leaves := make([]query.AliasSet, len(spec.tables))
 	for i, t := range spec.tables {
-		leaves[i] = query.NewAliasSet(alias(t))
+		leaves[i] = q.Set(alias(t))
 	}
 	return Case{Query: q, Best: plan.LeftDeep(leaves)}
 }

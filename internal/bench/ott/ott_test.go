@@ -63,7 +63,7 @@ func TestBadOrderExplodes(t *testing.T) {
 	}
 	goodCost := er.Produced
 	bad := plan.LeftDeep([]query.AliasSet{
-		query.NewAliasSet("l"), query.NewAliasSet("c"), query.NewAliasSet("o"),
+		c.Query.Set("l"), c.Query.Set("c"), c.Query.Set("o"),
 	})
 	eng2 := engine.New(cat)
 	_, er2, err2 := eng2.ExecTree(c.Query, bad, &engine.Budget{MaxTuples: 50 * goodCost})
@@ -81,7 +81,7 @@ func TestHandWrittenStartsWithEmptyPair(t *testing.T) {
 		a0, a1 := leaves[0].Key(), leaves[1].Key()
 		// The first two leaves must be the pair carrying two predicates.
 		pairPreds := 0
-		pair := query.NewAliasSet(a0, a1)
+		pair := c.Query.Set(a0, a1)
 		for _, p := range c.Query.Joins {
 			if p.Aliases().SubsetOf(pair) {
 				pairPreds++

@@ -110,7 +110,7 @@ func TestLegalActionsAtStart(t *testing.T) {
 func TestLegalActionsAfterPlanning(t *testing.T) {
 	cat, q := fixture()
 	s, _ := initState(q, cat)
-	s2, err := applyPlanEdit(s, q, Action{Kind: ActJoinMats, A: "R", B: "S"})
+	s2, err := applyPlanEdit(s, q, Action{Kind: ActJoinMats, A: keySet(q, "R"), B: keySet(q, "S")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +144,8 @@ func TestSigmaUsefulnessDeclines(t *testing.T) {
 	}
 	// Consume pred 0 by covering it with a planned tree: Σ targeting its
 	// terms becomes useless too.
-	s2, _ := applyPlanEdit(s, q, Action{Kind: ActJoinMats, A: "R", B: "T"})
-	s3, _ := applyPlanEdit(s2, q, Action{Kind: ActJoinMatPlanned, A: "S", B: "R+T"})
+	s2, _ := applyPlanEdit(s, q, Action{Kind: ActJoinMats, A: keySet(q, "R"), B: keySet(q, "T")})
+	s3, _ := applyPlanEdit(s2, q, Action{Kind: ActJoinMatPlanned, A: keySet(q, "S"), B: keySet(q, "R+T")})
 	keys = actionKeys(legalActions(s3, q))
 	for k := range keys {
 		if strings.HasPrefix(k, "Σ") {
@@ -157,7 +157,7 @@ func TestSigmaUsefulnessDeclines(t *testing.T) {
 func TestApplyPlanEditKinds(t *testing.T) {
 	cat, q := fixture()
 	s, _ := initState(q, cat)
-	s1, err := applyPlanEdit(s, q, Action{Kind: ActSigmaCopy, A: "S"})
+	s1, err := applyPlanEdit(s, q, Action{Kind: ActSigmaCopy, A: keySet(q, "S")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,29 +167,29 @@ func TestApplyPlanEditKinds(t *testing.T) {
 	if len(s.Planned) != 0 {
 		t.Error("applyPlanEdit must not mutate the input state")
 	}
-	s2, err := applyPlanEdit(s1, q, Action{Kind: ActJoinMats, A: "R", B: "T"})
+	s2, err := applyPlanEdit(s1, q, Action{Kind: ActJoinMats, A: keySet(q, "R"), B: keySet(q, "T")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, err := applyPlanEdit(s2, q, Action{Kind: ActSigmaWrap, A: "R+T"})
+	s3, err := applyPlanEdit(s2, q, Action{Kind: ActSigmaWrap, A: keySet(q, "R+T")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := s3.findPlanned("R+T")
+	i := s3.findPlanned(keySet(q, "R+T"))
 	if i < 0 || !s3.Planned[i].Tree.Sigma || s3.Planned[i].SigmaCopy {
 		t.Errorf("Σ-wrap wrong: %s", s3)
 	}
 	// Join two planned trees.
-	sA, _ := applyPlanEdit(s, q, Action{Kind: ActJoinMats, A: "R", B: "S"})
-	if _, err := applyPlanEdit(sA, q, Action{Kind: ActJoinPlanned, A: "R+S", B: "R+S"}); err == nil {
+	sA, _ := applyPlanEdit(s, q, Action{Kind: ActJoinMats, A: keySet(q, "R"), B: keySet(q, "S")})
+	if _, err := applyPlanEdit(sA, q, Action{Kind: ActJoinPlanned, A: keySet(q, "R+S"), B: keySet(q, "R+S")}); err == nil {
 		t.Error("self-join of a planned tree must error")
 	}
 	// Errors for missing operands.
 	for _, bad := range []Action{
-		{Kind: ActSigmaCopy, A: "ZZ"},
-		{Kind: ActSigmaWrap, A: "ZZ"},
-		{Kind: ActJoinMats, A: "R", B: "ZZ"},
-		{Kind: ActJoinMatPlanned, A: "ZZ", B: "R+S"},
+		{Kind: ActSigmaCopy, A: query.AliasSet{}},
+		{Kind: ActSigmaWrap, A: query.AliasSet{}},
+		{Kind: ActJoinMats, A: keySet(q, "R"), B: query.AliasSet{}},
+		{Kind: ActJoinMatPlanned, A: query.AliasSet{}, B: keySet(q, "R+S")},
 		{Kind: ActExecute},
 	} {
 		if _, err := applyPlanEdit(s, q, bad); err == nil {
@@ -201,8 +201,8 @@ func TestApplyPlanEditKinds(t *testing.T) {
 func TestSettleExecution(t *testing.T) {
 	cat, q := fixture()
 	s, _ := initState(q, cat)
-	s1, _ := applyPlanEdit(s, q, Action{Kind: ActSigmaCopy, A: "S"})
-	s2, _ := applyPlanEdit(s1, q, Action{Kind: ActJoinMats, A: "R", B: "T"})
+	s1, _ := applyPlanEdit(s, q, Action{Kind: ActSigmaCopy, A: keySet(q, "S")})
+	s2, _ := applyPlanEdit(s1, q, Action{Kind: ActJoinMats, A: keySet(q, "R"), B: keySet(q, "T")})
 	ns := s2.clone(false)
 	settleExecution(ns)
 	if len(ns.Planned) != 0 {
@@ -222,7 +222,7 @@ func TestModelStepDeterministicVsStochastic(t *testing.T) {
 	cat, q := fixture()
 	s, _ := initState(q, cat)
 	m := &Model{Q: q, Prior: prior.Default(), Rng: randx.New(1)}
-	ns, r, stoch := m.Step(s, Action{Kind: ActJoinMats, A: "R", B: "S"})
+	ns, r, stoch := m.Step(s, Action{Kind: ActJoinMats, A: keySet(q, "R"), B: keySet(q, "S")})
 	if stoch || r != 0 {
 		t.Errorf("plan edit must be deterministic zero-reward, got r=%v stoch=%v", r, stoch)
 	}
@@ -255,7 +255,7 @@ func TestModelSimSigmaHardens(t *testing.T) {
 	cat, q := fixture()
 	s, _ := initState(q, cat)
 	m := &Model{Q: q, Prior: prior.Default(), Rng: randx.New(2)}
-	s1, _, _ := m.Step(s, Action{Kind: ActSigmaCopy, A: "S"})
+	s1, _, _ := m.Step(s, Action{Kind: ActSigmaCopy, A: keySet(q, "S")})
 	s2, r, _ := m.Step(s1, Action{Kind: ActExecute})
 	st2 := s2.(*State)
 	if !st2.St.HasMeasured(q.Joins[0].R.ID, "S") {
@@ -310,14 +310,19 @@ func TestRolloutTerminates(t *testing.T) {
 	}
 }
 
+// keySet returns the alias set an expression key ("R+T") names.
+func keySet(q *query.Query, key string) query.AliasSet {
+	return q.Set(strings.Split(key, "+")...)
+}
+
 // referenceCount executes a fixed plan directly to know the true result size.
 func referenceCount(t *testing.T) int {
 	t.Helper()
 	cat, q := fixture()
 	eng := engine.New(cat)
 	tree := plan.NewJoin(plan.NewJoin(
-		plan.NewLeaf(query.NewAliasSet("R")), plan.NewLeaf(query.NewAliasSet("T"))),
-		plan.NewLeaf(query.NewAliasSet("S")))
+		plan.NewLeaf(q.Set("R")), plan.NewLeaf(q.Set("T"))),
+		plan.NewLeaf(q.Set("S")))
 	rel, _, err := eng.ExecTree(q, tree, &engine.Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -411,8 +416,8 @@ func TestMonsoonAvoidsTheTrap(t *testing.T) {
 		cat, q := fixture()
 		eng := engine.New(cat)
 		tree := plan.NewJoin(plan.NewJoin(
-			plan.NewLeaf(query.NewAliasSet("R")), plan.NewLeaf(query.NewAliasSet(first))),
-			plan.NewLeaf(query.NewAliasSet(map[string]string{"S": "T", "T": "S"}[first])))
+			plan.NewLeaf(q.Set("R")), plan.NewLeaf(q.Set(first))),
+			plan.NewLeaf(q.Set(map[string]string{"S": "T", "T": "S"}[first])))
 		_, er, err := eng.ExecTree(q, tree, &engine.Budget{})
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"monsoon/internal/engine"
 	"monsoon/internal/mcts"
+	"monsoon/internal/plan"
 	"monsoon/internal/prior"
 	"monsoon/internal/query"
 	"monsoon/internal/randx"
@@ -95,15 +96,15 @@ func TestSimCountsMatchRealCounts(t *testing.T) {
 	s.St.SetMeasured(q.Joins[1].L.ID, "R", 40)  // d(R.b) = 40
 	s.St.SetMeasured(q.Joins[1].R.ID, "T", 100) // d(T.k) = 100
 	m := &Model{Q: q, Prior: prior.Uniform{}, Rng: randx.New(1)}
-	s1, _, _ := m.Step(s, Action{Kind: ActJoinMats, A: "R", B: "S"})
+	s1, _, _ := m.Step(s, Action{Kind: ActJoinMats, A: keySet(q, "R"), B: keySet(q, "S")})
 	s2, _, _ := m.Step(s1, Action{Kind: ActExecute})
 	simRS, _ := s2.(*State).St.Count("R+S")
 	// Real execution.
-	tree, err := joinCandidate(s, Action{Kind: ActJoinMats, A: "R", B: "S"})
+	l, r, err := joinOperands(s, Action{Kind: ActJoinMats, A: keySet(q, "R"), B: keySet(q, "S")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _, err := eng.ExecTree(q, tree, nil)
+	rel, _, err := eng.ExecTree(q, plan.NewJoin(l, r), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

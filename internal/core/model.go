@@ -11,6 +11,7 @@ import (
 	"monsoon/internal/prior"
 	"monsoon/internal/query"
 	"monsoon/internal/randx"
+	"monsoon/internal/stats"
 )
 
 // Model is the MDP simulator MCTS plans against (§4.3). Plan edits transition
@@ -36,11 +37,24 @@ type Model struct {
 	// the reshuffle-vs-local choice becomes a real action trade-off. Nil (or
 	// an unsharded layout) keeps simulation bit-identical to pre-sharding.
 	Shards cost.ShardLayout
+
+	// Scratch reused across calls instead of allocated: the legal actions
+	// being listed (the rollout policy returns a pointer into them, valid
+	// until the next call), the rollout policy's deriver (over an overlay
+	// it resets for every call), the overlay rollout EXECUTEs write to (one
+	// rollout's states are dead when the next begins), and EXECUTE's prior
+	// sampler. A Model is driven by one goroutine (Fork gives each search
+	// shard its own).
+	acts     []Action
+	rollDV   *cost.Deriver
+	rollExec *stats.Store
+	sample   cost.MissFn
 }
 
 var (
 	_ mcts.Model        = (*Model)(nil)
 	_ mcts.RolloutModel = (*Model)(nil)
+	_ mcts.Reuser       = (*Model)(nil)
 	_ mcts.Forker       = (*Model)(nil)
 )
 
@@ -55,21 +69,33 @@ func (m *Model) Fork(seed int64) mcts.Model {
 }
 
 // Legal implements mcts.Model.
+// The actions are handed out as pointers into one slice, so listing them
+// allocates twice rather than once per action.
 func (m *Model) Legal(s mcts.State) []mcts.Action {
-	acts := legalActions(s.(*State), m.Q)
+	m.acts = appendLegalActions(m.acts[:0], s.(*State), m.Q)
+	acts := append([]Action(nil), m.acts...)
 	out := make([]mcts.Action, len(acts))
-	for i, a := range acts {
-		out[i] = a
+	for i := range acts {
+		out[i] = &acts[i]
 	}
 	return out
 }
 
+// asAction reads an action the model handed out (*Action) or one a caller
+// built (Action).
+func asAction(a mcts.Action) Action {
+	if p, ok := a.(*Action); ok {
+		return *p
+	}
+	return a.(Action)
+}
+
 // Step implements mcts.Model. It never mutates the input state: plan edits
-// clone the structure (sharing statistics), EXECUTE clones the statistics
-// too before hardening them with sampled values.
+// clone the structure (sharing statistics), EXECUTE also writes the sampled
+// and hardened statistics to an overlay of the input's store.
 func (m *Model) Step(s mcts.State, a mcts.Action) (mcts.State, float64, bool) {
 	st := s.(*State)
-	act := a.(Action)
+	act := asAction(a)
 	if act.Kind != ActExecute {
 		ns, err := applyPlanEdit(st, m.Q, act)
 		if err != nil {
@@ -78,7 +104,41 @@ func (m *Model) Step(s mcts.State, a mcts.Action) (mcts.State, float64, bool) {
 		return ns, 0, false
 	}
 	ns := st.clone(true)
-	dv := &cost.Deriver{Q: m.Q, St: ns.St, Miss: m.priorMiss(), Profile: m.Profile, Layout: m.Shards}
+	return ns, m.execute(ns), true
+}
+
+// StepReuse implements mcts.Reuser: Step, advancing s itself. Plan edits
+// rewrite its Planned slice, which no other state shares. The first EXECUTE
+// of a rollout writes to the model's scratch overlay, reset over s's store
+// (which the tree may share); later ones write to that overlay directly.
+func (m *Model) StepReuse(s mcts.State, a mcts.Action) (mcts.State, float64) {
+	st := s.(*State)
+	act := asAction(a)
+	if act.Kind != ActExecute {
+		if err := st.edit(act); err != nil {
+			panic(err) // planner bug: actions come from legalActions
+		}
+		return st, 0
+	}
+	if st.St != m.rollExec {
+		if m.rollExec == nil {
+			m.rollExec = &stats.Store{}
+		}
+		m.rollExec.ResetOverlay(st.St)
+		st.St = m.rollExec
+	}
+	return st, m.execute(st)
+}
+
+// execute simulates EXECUTE on ns, whose store is an overlay it may write:
+// it prices every planned tree, samples the statistics they need, hardens
+// what their Σ operators measure, settles the frontier and returns the
+// reward.
+func (m *Model) execute(ns *State) float64 {
+	if m.sample == nil {
+		m.sample = m.priorMiss()
+	}
+	dv := &cost.Deriver{Q: m.Q, St: ns.St, Miss: m.sample, Profile: m.Profile, Layout: m.Shards}
 	total := 0.0
 	for _, t := range ns.Planned {
 		total += dv.PlanCost(t.Tree)
@@ -87,7 +147,7 @@ func (m *Model) Step(s mcts.State, a mcts.Action) (mcts.State, float64, bool) {
 		}
 	}
 	settleExecution(ns)
-	return ns, -total, true
+	return -total
 }
 
 // priorMiss adapts the prior to the Deriver's MissFn: the stochastic
@@ -122,7 +182,7 @@ func (m *Model) simSigma(dv *cost.Deriver, ns *State, tree *plan.Node) {
 		cE = dv.NodeCount(tree.WithoutSigma())
 	}
 	for _, p := range m.Q.Joins {
-		for ti, t := range []*query.Term{p.L, p.R} {
+		for ti, t := range [2]*query.Term{p.L, p.R} {
 			if !t.Aliases.SubsetOf(cover) || p.ApplicableAt(cover) {
 				continue
 			}
@@ -134,7 +194,7 @@ func (m *Model) simSigma(dv *cost.Deriver, ns *State, tree *plan.Node) {
 				other = p.L
 			}
 			pKey := other.Aliases.Key()
-			cP := m.partnerCount(dv, other.Aliases)
+			cP := m.partnerCount(dv, ns, other.Aliases)
 			d := dv.Distinct(t, key, pKey, cE, cP)
 			ns.St.SetMeasured(t.ID, key, d)
 		}
@@ -145,13 +205,13 @@ func (m *Model) simSigma(dv *cost.Deriver, ns *State, tree *plan.Node) {
 // a term's aliases, for parameterizing the prior: a known count wins, a
 // single alias estimates its filtered scan, a multi-alias set falls back to
 // the product of its members' filtered estimates.
-func (m *Model) partnerCount(dv *cost.Deriver, aliases query.AliasSet) float64 {
+func (m *Model) partnerCount(dv *cost.Deriver, s *State, aliases query.AliasSet) float64 {
 	if c, ok := dv.St.Count(aliases.Key()); ok {
 		return c
 	}
 	prod := 1.0
-	for _, name := range aliases.Names() {
-		prod *= dv.NodeCount(plan.NewLeaf(query.NewAliasSet(name)))
+	for r := aliases; !r.IsEmpty(); r = r.Minus(r.Lowest()) {
+		prod *= dv.NodeCount(s.leaf(r.Lowest()))
 	}
 	return prod
 }
@@ -166,12 +226,13 @@ func (m *Model) partnerCount(dv *cost.Deriver, aliases query.AliasSet) float64 {
 // statistic, a subtree that guessed completes blind.
 func (m *Model) RolloutAction(s mcts.State, rng *rand.Rand) mcts.Action {
 	st := s.(*State)
-	acts := legalActions(st, m.Q)
+	m.acts = appendLegalActions(m.acts[:0], st, m.Q)
+	acts := m.acts
 	if len(acts) == 0 {
 		return nil
 	}
 	if m.UniformRollout {
-		return acts[rng.Intn(len(acts))]
+		return &acts[rng.Intn(len(acts))]
 	}
 	var dv *cost.Deriver // lazily built: most states have join candidates
 	bestJoin := -1
@@ -183,64 +244,62 @@ func (m *Model) RolloutAction(s mcts.State, rng *rand.Rand) mcts.Action {
 			execIdx = i
 		case ActJoinMats, ActJoinPlanned, ActJoinMatPlanned:
 			if dv == nil {
-				dv = &cost.Deriver{Q: m.Q, St: st.St.Clone(), Miss: m.meanMiss()}
+				if m.rollDV == nil {
+					m.rollDV = &cost.Deriver{Q: m.Q, St: &stats.Store{}, Miss: m.meanMiss()}
+				}
+				dv = m.rollDV
+				dv.St.ResetOverlay(st.St)
 			}
-			node, err := joinCandidate(st, a)
+			l, r, err := joinOperands(st, a)
 			if err != nil {
 				continue
 			}
-			if c := dv.NodeCount(node); c < bestCount {
+			if c := dv.JoinCount(l, r); c < bestCount {
 				bestCount = c
 				bestJoin = i
 			}
 		}
 	}
 	if bestJoin >= 0 {
-		return acts[bestJoin]
+		return &acts[bestJoin]
 	}
 	if execIdx >= 0 {
-		return acts[execIdx]
+		return &acts[execIdx]
 	}
-	return acts[rng.Intn(len(acts))]
+	return &acts[rng.Intn(len(acts))]
 }
 
-// joinCandidate builds the plan node a join action would create, for costing.
-func joinCandidate(s *State, a Action) (*plan.Node, error) {
-	pick := func(kind ActionKind, key string) (*plan.Node, error) {
+// joinOperands returns the two trees a join action would join: planned
+// trees as they stand (a Σ marker does not change a count) and active
+// expressions as leaves.
+func joinOperands(s *State, a Action) (l, r *plan.Node, err error) {
+	pick := func(kind ActionKind, set query.AliasSet) (*plan.Node, error) {
 		if kind == ActJoinPlanned {
-			if i := s.findPlanned(key); i >= 0 {
+			if i := s.findPlanned(set); i >= 0 {
 				return s.Planned[i].Tree, nil
 			}
-			return nil, fmt.Errorf("core: planned %q missing", key)
+			return nil, fmt.Errorf("core: planned %q missing", set.Key())
 		}
-		if i := s.findActive(key); i >= 0 {
-			return plan.NewLeaf(s.Active[i]), nil
+		if i := s.findActive(set); i >= 0 {
+			return s.leaf(s.Active[i]), nil
 		}
-		return nil, fmt.Errorf("core: active %q missing", key)
+		return nil, fmt.Errorf("core: active %q missing", set.Key())
 	}
-	var l, r *plan.Node
-	var err error
+	lKind, rKind := ActJoinMats, ActJoinMats
 	switch a.Kind {
 	case ActJoinMats:
-		if l, err = pick(ActJoinMats, a.A); err != nil {
-			return nil, err
-		}
-		r, err = pick(ActJoinMats, a.B)
 	case ActJoinPlanned:
-		if l, err = pick(ActJoinPlanned, a.A); err != nil {
-			return nil, err
-		}
-		r, err = pick(ActJoinPlanned, a.B)
+		lKind, rKind = ActJoinPlanned, ActJoinPlanned
 	case ActJoinMatPlanned:
-		if l, err = pick(ActJoinMats, a.A); err != nil {
-			return nil, err
-		}
-		r, err = pick(ActJoinPlanned, a.B)
+		rKind = ActJoinPlanned
 	default:
-		return nil, fmt.Errorf("core: %v is not a join action", a)
+		return nil, nil, fmt.Errorf("core: %v is not a join action", a)
 	}
-	if err != nil {
-		return nil, err
+	if l, err = pick(lKind, a.A); err != nil {
+		return nil, nil, err
 	}
-	return plan.NewJoin(l.WithoutSigma(), r.WithoutSigma()), nil
+	if r, err = pick(rKind, a.B); err != nil {
+		return nil, nil, err
+	}
+	return l, r, nil
 }

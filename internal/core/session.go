@@ -188,7 +188,7 @@ func (s *Session) overDeadline() bool {
 
 // cacheKey is the full plan-cache key for the current state.
 func (s *Session) cacheKey() string {
-	return s.shape + "\x00" + s.state.OutcomeKey()
+	return s.shape + "\x00" + s.state.OutcomeString()
 }
 
 // PlanRound runs planning from the current state until the MDP picks
@@ -271,7 +271,7 @@ func (s *Session) PlanRound() (bool, error) {
 		if picked == nil {
 			return false, fmt.Errorf("core: no legal action in non-terminal state %s", s.state)
 		}
-		act := picked.(Action)
+		act := asAction(picked)
 		if s.cfg.Cache != nil {
 			s.pendingKeys = append(s.pendingKeys, key)
 			s.pendingActs = append(s.pendingActs, act)
@@ -379,12 +379,12 @@ func (s *Session) ExecuteRound() error {
 	round := s.res.Executes + 1
 	// What the optimizer believes each intermediate will produce, under
 	// the prior's expectation, frozen before the world answers. Derived
-	// on a cloned store (and through Mean, not Sample) so recording the
-	// predictions perturbs neither the statistics set nor the RNG
-	// stream — traced and untraced runs stay bit-identical.
+	// on an overlay of the store (and through Mean, not Sample) so
+	// recording the predictions perturbs neither the statistics set nor
+	// the RNG stream — traced and untraced runs stay bit-identical.
 	var ests map[string]float64
 	if s.tr.Active() || s.cfg.Metrics != nil || s.cfg.ReplanThreshold > 0 {
-		dv := &cost.Deriver{Q: s.q, St: ns.St.Clone(), Miss: s.model.meanMiss()}
+		dv := &cost.Deriver{Q: s.q, St: ns.St.Overlay(), Miss: s.model.meanMiss()}
 		ests = make(map[string]float64)
 		for _, t := range ns.Planned {
 			estimateTree(dv, t.Tree, ests)

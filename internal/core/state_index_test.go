@@ -3,38 +3,33 @@ package core
 import (
 	"testing"
 
+	"monsoon/internal/query"
 	"monsoon/internal/randx"
 )
 
-// checkIndexes verifies the key→index maps agree exactly with the slices
-// they shadow: every slice entry is found at its own index, the maps carry
-// no extra keys, and absent keys miss.
+// checkIndexes verifies the mask lookups agree exactly with the slices they
+// search: every entry is found at its own index (so no two entries share an
+// alias set), and the empty set, which no entry covers, misses.
 func checkIndexes(t *testing.T, label string, s *State) {
 	t.Helper()
-	if len(s.plannedIdx) != len(s.Planned) {
-		t.Fatalf("%s: plannedIdx has %d keys for %d trees", label, len(s.plannedIdx), len(s.Planned))
-	}
 	for i, tr := range s.Planned {
-		if got := s.findPlanned(tr.Tree.Key()); got != i {
+		if got := s.findPlanned(tr.Tree.Aliases()); got != i {
 			t.Fatalf("%s: findPlanned(%q) = %d, slice index %d", label, tr.Tree.Key(), got, i)
 		}
 	}
-	if len(s.activeIdx) != len(s.Active) {
-		t.Fatalf("%s: activeIdx has %d keys for %d entries", label, len(s.activeIdx), len(s.Active))
-	}
 	for i, a := range s.Active {
-		if got := s.findActive(a.Key()); got != i {
+		if got := s.findActive(a); got != i {
 			t.Fatalf("%s: findActive(%q) = %d, slice index %d", label, a.Key(), got, i)
 		}
 	}
-	if s.findPlanned("⊥no-such-key") != -1 || s.findActive("⊥no-such-key") != -1 {
-		t.Fatalf("%s: absent key must return -1", label)
+	if s.findPlanned(query.AliasSet{}) != -1 || s.findActive(query.AliasSet{}) != -1 {
+		t.Fatalf("%s: absent set must return -1", label)
 	}
 }
 
 // TestIndexMapsStayConsistent walks random legal-action trajectories —
 // every plan-edit kind plus EXECUTE settlement — and asserts after each
-// transition that plannedIdx/activeIdx mirror the Planned/Active slices.
+// transition that the Planned/Active lookups find every entry at its index.
 // This is the invariant the O(1) find* lookups rely on.
 func TestIndexMapsStayConsistent(t *testing.T) {
 	cat, q := fixture()

@@ -113,18 +113,39 @@ func (dv *Deriver) NodeCount(n *plan.Node) float64 {
 	if n.IsLeaf() {
 		return dv.leafCount(n, key)
 	}
-	cX := dv.NodeCount(n.Left)
-	cY := dv.NodeCount(n.Right)
-	xs, ys := n.Left.Aliases(), n.Right.Aliases()
+	return dv.joinCount(n.Left, n.Right, key)
+}
+
+// JoinCount is NodeCount of the join of l and r, without building the node:
+// the rollout policy prices every join candidate this way.
+func (dv *Deriver) JoinCount(l, r *plan.Node) float64 {
+	key := l.Aliases().Union(r.Aliases()).Key()
+	if c, ok := dv.St.Count(key); ok {
+		return c
+	}
+	return dv.joinCount(l, r, key)
+}
+
+// joinCount derives the count of l ⋈ r, whose key is key, and records it.
+func (dv *Deriver) joinCount(l, r *plan.Node, key string) float64 {
+	cX := dv.NodeCount(l)
+	cY := dv.NodeCount(r)
+	xs, ys := l.Aliases(), r.Aliases()
 	c := cX * cY
-	for _, p := range dv.Q.PredsNewAt(xs, ys) {
+	for _, p := range dv.Q.Joins {
+		if !p.NewAt(xs, ys) {
+			continue
+		}
 		lKey, lC := dv.container(p.L, xs, ys, cX, cY, key, c)
 		rKey, rC := dv.container(p.R, xs, ys, cX, cY, key, c)
 		dL := dv.Distinct(p.L, lKey, rKey, lC, rC)
 		dR := dv.Distinct(p.R, rKey, lKey, rC, lC)
 		c /= math.Max(math.Max(dL, dR), 1)
 	}
-	for _, s := range dv.Q.SelsNewAt(xs, ys) {
+	for _, s := range dv.Q.Sels {
+		if !s.NewAt(xs, ys) {
+			continue
+		}
 		d := dv.Distinct(s.T, key, key, cX*cY, cX*cY)
 		c /= math.Max(d, 1)
 	}
@@ -154,13 +175,16 @@ func (dv *Deriver) leafCount(n *plan.Node, key string) float64 {
 	if n.Leaf.Size() != 1 {
 		panic(fmt.Sprintf("cost: no count for materialized expression %q", key))
 	}
-	alias := n.Leaf.Names()[0]
+	alias := n.Leaf.Alias()
 	craw, ok := dv.St.Count(stats.RawKey(alias))
 	if !ok {
 		panic(fmt.Sprintf("cost: no raw count for base table %q", alias))
 	}
 	c := craw
-	for _, s := range dv.Q.SelsAt(n.Leaf) {
+	for _, s := range dv.Q.Sels {
+		if !s.T.Aliases.SubsetOf(n.Leaf) {
+			continue
+		}
 		d := dv.Distinct(s.T, key, key, craw, craw)
 		c /= math.Max(d, 1)
 	}
@@ -218,7 +242,10 @@ func (dv *Deriver) exchangeObjects(n *plan.Node) float64 {
 // right-side term of that predicate, or nil for a nested loop.
 func (dv *Deriver) buildTermAt(n *plan.Node) *query.Term {
 	xs, ys := n.Left.Aliases(), n.Right.Aliases()
-	for _, p := range dv.Q.PredsNewAt(xs, ys) {
+	for _, p := range dv.Q.Joins {
+		if !p.NewAt(xs, ys) {
+			continue
+		}
 		if p.L.Aliases.SubsetOf(xs) && p.R.Aliases.SubsetOf(ys) {
 			return p.R
 		}
@@ -237,7 +264,7 @@ func (dv *Deriver) coPartitioned(n *plan.Node, bt *query.Term) bool {
 	if !n.IsLeaf() || n.Leaf.Size() != 1 {
 		return false
 	}
-	alias := n.Leaf.Names()[0]
+	alias := n.Leaf.Alias()
 	tbl, ok := dv.Q.TableOf(alias)
 	if !ok {
 		return false

@@ -36,7 +36,7 @@ func sec23(t *testing.T, d2, d4 float64) (*query.Query, *stats.Store) {
 	return q, st
 }
 
-func leaf(names ...string) *plan.Node { return plan.NewLeaf(query.NewAliasSet(names...)) }
+func leaf(q *query.Query, names ...string) *plan.Node { return plan.NewLeaf(q.Set(names...)) }
 
 func TestJoinSizeFormula(t *testing.T) {
 	if got := JoinSize(1e6, 1e4, 1000, 1); got != 1e7 {
@@ -75,8 +75,8 @@ func TestTable1(t *testing.T) {
 	for _, c := range cases {
 		q, st := sec23(t, c.d2, c.d4)
 		dv := &Deriver{Q: q, St: st, Miss: PanicMiss()}
-		rs := dv.NodeCount(plan.NewJoin(leaf("R"), leaf("S")))
-		rt := dv.NodeCount(plan.NewJoin(leaf("R"), leaf("T")))
+		rs := dv.NodeCount(plan.NewJoin(leaf(q, "R"), leaf(q, "S")))
+		rt := dv.NodeCount(plan.NewJoin(leaf(q, "R"), leaf(q, "T")))
 		if rs != c.wantRS {
 			t.Errorf("d2=%v d4=%v: c(R⋈S) = %v, want %v", c.d2, c.d4, rs, c.wantRS)
 		}
@@ -89,7 +89,7 @@ func TestTable1(t *testing.T) {
 func TestFullPlanCountsAndCost(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss()}
-	tree := plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T"))
+	tree := plan.NewJoin(plan.NewJoin(leaf(q, "R"), leaf(q, "S")), leaf(q, "T"))
 	// c(R⋈S) = 1e6; c((R⋈S)⋈T) = 1e6·1e4/max(1000,10000) = 1e6.
 	if got := dv.NodeCount(tree); got != 1e6 {
 		t.Errorf("final count = %v, want 1e6", got)
@@ -108,8 +108,8 @@ func TestFullPlanCountsAndCost(t *testing.T) {
 func TestBatchCost(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss()}
-	sigmaS := leaf("S").WithSigma()
-	rs := plan.NewJoin(leaf("R"), leaf("S"))
+	sigmaS := leaf(q, "S").WithSigma()
+	rs := plan.NewJoin(leaf(q, "R"), leaf(q, "S"))
 	got := dv.BatchCost([]*plan.Node{sigmaS, rs})
 	// Σ(S): c(S) + c(S) = 2e4; (R⋈S): 1e6 + 1e6 + 1e4.
 	want := 2e4 + (1e6 + 1e6 + 1e4)
@@ -127,7 +127,7 @@ func TestBatchCostEmptyAndSingleton(t *testing.T) {
 	if got := dv.BatchCost([]*plan.Node{}); got != 0 {
 		t.Errorf("batch cost of empty slice = %v, want 0", got)
 	}
-	rs := plan.NewJoin(leaf("R"), leaf("S"))
+	rs := plan.NewJoin(leaf(q, "R"), leaf(q, "S"))
 	if got, want := dv.BatchCost([]*plan.Node{rs}), dv.PlanCost(rs); got != want {
 		t.Errorf("singleton batch cost = %v, want PlanCost %v", got, want)
 	}
@@ -238,7 +238,7 @@ func TestLeafWithSelection(t *testing.T) {
 	st.SetCount(stats.RawKey("S"), 100)
 	st.SetMeasured(q.Sels[0].T.ID, "R", 10) // selection term measured
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss()}
-	if got := dv.NodeCount(leaf("R")); got != 100 {
+	if got := dv.NodeCount(leaf(q, "R")); got != 100 {
 		t.Errorf("filtered leaf count = %v, want 100", got)
 	}
 	// Count is recorded, so a repeat lookup is stable.
@@ -268,7 +268,7 @@ func TestMultiTableTermUsesUnionContainer(t *testing.T) {
 		return 100
 	}}
 	// In ((R⋈S)⋈T) the term {R,S} is contained in the left child.
-	tree := plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T"))
+	tree := plan.NewJoin(plan.NewJoin(leaf(q, "R"), leaf(q, "S")), leaf(q, "T"))
 	c := dv.NodeCount(tree)
 	// R×S = 20000 (no predicate applies there); join with T: 20000·50/max(100,50).
 	if c != 20000*50/100 {
@@ -285,7 +285,7 @@ func TestMultiTableTermUsesUnionContainer(t *testing.T) {
 	st2.SetCount(stats.RawKey("S"), 200)
 	st2.SetCount(stats.RawKey("T"), 50)
 	dv.St = st2
-	crossing := plan.NewJoin(leaf("R"), plan.NewJoin(leaf("S"), leaf("T")))
+	crossing := plan.NewJoin(leaf(q, "R"), plan.NewJoin(leaf(q, "S"), leaf(q, "T")))
 	c2 := dv.NodeCount(crossing)
 	if c2 != 100*200*50/100 {
 		t.Errorf("crossing count = %v, want %v", c2, 100.0*200*50/100)
@@ -303,7 +303,7 @@ func TestLeafPanicsWithoutRawCount(t *testing.T) {
 			t.Error("missing raw count must panic")
 		}
 	}()
-	dv.NodeCount(leaf("R"))
+	dv.NodeCount(leaf(q, "R"))
 }
 
 func TestMaterializedLeafPanicsWithoutCount(t *testing.T) {
@@ -314,7 +314,7 @@ func TestMaterializedLeafPanicsWithoutCount(t *testing.T) {
 			t.Error("materialized leaf without count must panic")
 		}
 	}()
-	dv.NodeCount(leaf("R", "S"))
+	dv.NodeCount(leaf(q, "R", "S"))
 }
 
 func TestPanicMiss(t *testing.T) {
@@ -325,7 +325,7 @@ func TestPanicMiss(t *testing.T) {
 			t.Error("PanicMiss must panic on a missing statistic")
 		}
 	}()
-	dv.NodeCount(plan.NewJoin(leaf("R"), leaf("S")))
+	dv.NodeCount(plan.NewJoin(leaf(q, "R"), leaf(q, "S")))
 }
 
 // Property: join-order independence of the derived final count — any order
@@ -334,9 +334,9 @@ func TestPanicMiss(t *testing.T) {
 func TestCountOrderIndependence(t *testing.T) {
 	q, st := sec23(t, 10000, 1)
 	orders := []*plan.Node{
-		plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T")),
-		plan.NewJoin(plan.NewJoin(leaf("R"), leaf("T")), leaf("S")),
-		plan.NewJoin(leaf("T"), plan.NewJoin(leaf("S"), leaf("R"))),
+		plan.NewJoin(plan.NewJoin(leaf(q, "R"), leaf(q, "S")), leaf(q, "T")),
+		plan.NewJoin(plan.NewJoin(leaf(q, "R"), leaf(q, "T")), leaf(q, "S")),
+		plan.NewJoin(leaf(q, "T"), plan.NewJoin(leaf(q, "S"), leaf(q, "R"))),
 	}
 	var counts []float64
 	for _, o := range orders {

@@ -35,7 +35,7 @@ func nodeLabel(q *query.Query, n *plan.Node, root bool) string {
 	}
 	if n.IsLeaf() {
 		if n.Leaf.Size() == 1 {
-			b.WriteString("scan " + n.Leaf.Names()[0])
+			b.WriteString("scan " + n.Leaf.Alias())
 		} else {
 			b.WriteString("reuse [" + n.Key() + "]")
 		}

@@ -10,7 +10,7 @@ import (
 func TestExplainRendersTree(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss()}
-	tree := plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T"))
+	tree := plan.NewJoin(plan.NewJoin(leaf(q, "R"), leaf(q, "S")), leaf(q, "T"))
 	out := Explain(dv, tree, nil)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 5 {
@@ -31,7 +31,7 @@ func TestExplainRendersTree(t *testing.T) {
 func TestExplainWithActuals(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss()}
-	tree := plan.NewJoin(leaf("R"), leaf("S"))
+	tree := plan.NewJoin(leaf(q, "R"), leaf(q, "S"))
 	out := Explain(dv, tree, map[string]float64{"R+S": 2e6})
 	if !strings.Contains(out, "actual=2e+06") {
 		t.Errorf("actuals missing:\n%s", out)
@@ -45,16 +45,16 @@ func TestExplainSigmaAndReuseAndCross(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
 	st.SetCount("R+S", 123)
 	dv := &Deriver{Q: q, St: st, Miss: DefaultMiss(0.1)}
-	sig := leaf("S").WithSigma()
+	sig := leaf(q, "S").WithSigma()
 	if out := Explain(dv, sig, nil); !strings.Contains(out, "Σ scan S") {
 		t.Errorf("Σ marker missing:\n%s", out)
 	}
-	reuse := plan.NewJoin(leaf("R", "S"), leaf("T"))
+	reuse := plan.NewJoin(leaf(q, "R", "S"), leaf(q, "T"))
 	out := Explain(dv, reuse, nil)
 	if !strings.Contains(out, "reuse [R+S]") {
 		t.Errorf("materialized reuse missing:\n%s", out)
 	}
-	cross := plan.NewJoin(leaf("S"), leaf("T"))
+	cross := plan.NewJoin(leaf(q, "S"), leaf(q, "T"))
 	if out := Explain(dv, cross, nil); !strings.Contains(out, "cross-product") {
 		t.Errorf("cross product marker missing:\n%s", out)
 	}

@@ -179,7 +179,7 @@ func testProfile() *CostProfile {
 func TestProfiledPlanCostHashJoin(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss(), Profile: testProfile()}
-	rs := plan.NewJoin(leaf("R"), leaf("S"))
+	rs := plan.NewJoin(leaf(q, "R"), leaf(q, "S"))
 	// F1(R)=F2(S) splits across the children, so the engine hash-joins with S
 	// (the right child) as the build side: scans (1e6 + 1e4 at rate 1), probe
 	// output 1e6 at rate 5, build input 1e4 at rate 3, root materialization
@@ -199,7 +199,7 @@ func TestProfiledPlanCostNestedLoop(t *testing.T) {
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss(), Profile: testProfile()}
 	// No predicate joins S directly to T: the engine would run a nested-loop
 	// cross product (1e8 objects at rate 7), not a hash join.
-	stT := plan.NewJoin(leaf("S"), leaf("T"))
+	stT := plan.NewJoin(leaf(q, "S"), leaf(q, "T"))
 	want := 1*(1e4+1e4) + 7*1e8 + 13*1e8
 	if got := dv.PlanCost(stT); got != want {
 		t.Errorf("profiled nested-loop cost = %v, want %v", got, want)
@@ -212,7 +212,7 @@ func TestProfiledPlanCostReuseLeaf(t *testing.T) {
 	// reuse rate, not the scan rate.
 	st.SetCount("R+S", 1e6)
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss(), Profile: testProfile()}
-	tree := plan.NewJoin(leaf("R", "S"), leaf("T"))
+	tree := plan.NewJoin(leaf(q, "R", "S"), leaf(q, "T"))
 	// F3(R)=F4(T) splits across the children → hash join; output
 	// 1e6·1e4/max(1000, 10000) = 1e6.
 	want := 2*1e6 + 1*1e4 + 5*1e6 + 3*1e4 + 13*1e6
@@ -223,7 +223,7 @@ func TestProfiledPlanCostReuseLeaf(t *testing.T) {
 
 func TestNilProfileKeepsLegacyCost(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
-	tree := plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T"))
+	tree := plan.NewJoin(plan.NewJoin(leaf(q, "R"), leaf(q, "S")), leaf(q, "T"))
 	legacy := (&Deriver{Q: q, St: st.Clone(), Miss: PanicMiss()}).PlanCost(tree)
 	nilProf := (&Deriver{Q: q, St: st.Clone(), Miss: PanicMiss(), Profile: nil}).PlanCost(tree)
 	if legacy != nilProf {
@@ -239,8 +239,8 @@ func TestNilProfileKeepsLegacyCost(t *testing.T) {
 func TestProfiledBatchCostSums(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss(), Profile: testProfile()}
-	rs := plan.NewJoin(leaf("R"), leaf("S"))
-	sigmaS := leaf("S").WithSigma()
+	rs := plan.NewJoin(leaf(q, "R"), leaf(q, "S"))
+	sigmaS := leaf(q, "S").WithSigma()
 	want := dv.PlanCost(rs) + dv.PlanCost(sigmaS)
 	if got := dv.BatchCost([]*plan.Node{rs, sigmaS}); got != want {
 		t.Errorf("profiled batch cost = %v, want %v", got, want)
@@ -253,9 +253,9 @@ func TestProfiledBatchCostSums(t *testing.T) {
 func TestProfiledSingleAliasLeafIsScan(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss(), Profile: testProfile()}
-	_ = dv.NodeCount(leaf("R")) // records the count
-	want := 1*1e6 + 13*1e6      // scan rate + root materialization
-	if got := dv.PlanCost(leaf("R")); got != want {
+	_ = dv.NodeCount(leaf(q, "R")) // records the count
+	want := 1*1e6 + 13*1e6         // scan rate + root materialization
+	if got := dv.PlanCost(leaf(q, "R")); got != want {
 		t.Errorf("single-alias leaf cost = %v, want scan-rated %v", got, want)
 	}
 }

@@ -32,8 +32,8 @@ func sec23Layout(s int) fakeLayout {
 func TestFlatCostExchangeTerm(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
 	base := &Deriver{Q: q, St: st, Miss: PanicMiss()}
-	rs := plan.NewJoin(leaf("R"), leaf("S")) // build term id(S.k): co-partitioned
-	rt := plan.NewJoin(leaf("R"), leaf("T")) // build term id(T.k), layout shards T.x
+	rs := plan.NewJoin(leaf(q, "R"), leaf(q, "S")) // build term id(S.k): co-partitioned
+	rt := plan.NewJoin(leaf(q, "R"), leaf(q, "T")) // build term id(T.k), layout shards T.x
 	costRS, costRT := base.PlanCost(rs), base.PlanCost(rt)
 
 	sharded := &Deriver{Q: q, St: st, Miss: PanicMiss(), Layout: sec23Layout(4)}
@@ -57,7 +57,7 @@ func TestFlatCostExchangeTerm(t *testing.T) {
 // so it always pays the movement term when sharded.
 func TestFlatCostExchangeNonLeafBuild(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
-	tree := plan.NewJoin(leaf("T"), plan.NewJoin(leaf("R"), leaf("S")))
+	tree := plan.NewJoin(leaf(q, "T"), plan.NewJoin(leaf(q, "R"), leaf(q, "S")))
 	base := &Deriver{Q: q, St: st, Miss: PanicMiss()}
 	want := base.PlanCost(tree)
 	sharded := &Deriver{Q: q, St: st, Miss: PanicMiss(), Layout: sec23Layout(4)}
@@ -76,7 +76,7 @@ func TestFlatCostExchangeNonLeafBuild(t *testing.T) {
 // no hash build and nothing to reshuffle.
 func TestFlatCostNoExchangeForNestedLoop(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
-	cross := plan.NewJoin(leaf("S"), leaf("T")) // no predicate binds S to T
+	cross := plan.NewJoin(leaf(q, "S"), leaf(q, "T")) // no predicate binds S to T
 	base := &Deriver{Q: q, St: st, Miss: PanicMiss()}
 	want := base.PlanCost(cross)
 	sharded := &Deriver{Q: q, St: st, Miss: PanicMiss(), Layout: sec23Layout(16)}
@@ -96,17 +96,17 @@ func TestProfiledCostExchangeTerm(t *testing.T) {
 	// Co-partitioned R⋈S: identical to the layoutless profiled cost — scans
 	// (1e6+1e4)·1, probe 1e6·5, build 1e4·3, materialize 1e6·13.
 	wantRS := 1*(1e6+1e4) + 5*1e6 + 3*1e4 + 13*1e6
-	if got := dv.PlanCost(plan.NewJoin(leaf("R"), leaf("S"))); got != wantRS {
+	if got := dv.PlanCost(plan.NewJoin(leaf(q, "R"), leaf(q, "S"))); got != wantRS {
 		t.Errorf("co-partitioned profiled cost = %v, want %v", got, wantRS)
 	}
 	// Reshuffled R⋈T adds 1e4 moved rows at rate 17.
 	wantRT := wantRS + 17*1e4
-	if got := dv.PlanCost(plan.NewJoin(leaf("R"), leaf("T"))); got != wantRT {
+	if got := dv.PlanCost(plan.NewJoin(leaf(q, "R"), leaf(q, "T"))); got != wantRT {
 		t.Errorf("reshuffled profiled cost = %v, want %v", got, wantRT)
 	}
 	// Without a layout the same profile never charges the Exchange rate.
 	dv.Layout = nil
-	if got := dv.PlanCost(plan.NewJoin(leaf("R"), leaf("T"))); got != wantRS {
+	if got := dv.PlanCost(plan.NewJoin(leaf(q, "R"), leaf(q, "T"))); got != wantRS {
 		t.Errorf("layoutless profiled cost = %v, want %v", got, wantRS)
 	}
 }

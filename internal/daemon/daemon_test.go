@@ -318,3 +318,39 @@ func TestHashRelation(t *testing.T) {
 		t.Error("equal relations hash differently")
 	}
 }
+
+// TestQueryRejectsUnplannableAdhoc: ad-hoc statements whose UDF constants
+// would fail at evaluation time, or that mount more relations than one alias
+// set can hold, get a 400 with a JSON error naming the cause instead of
+// crashing the request mid-query.
+func TestQueryRejectsUnplannableAdhoc(t *testing.T) {
+	h := testServer(t).Handler()
+	var wide strings.Builder
+	wide.WriteString("SELECT COUNT(*) FROM ")
+	for i := 0; i < 65; i++ {
+		if i > 0 {
+			wide.WriteString(", ")
+		}
+		fmt.Fprintf(&wide, "nation n%d", i)
+	}
+	cases := []struct{ name, sql, cause string }{
+		{"HashMod zero", "SELECT COUNT(*) FROM customer c WHERE HashMod(c.c_custkey, 0) = 1", "HashMod"},
+		{"Prefix negative", "SELECT COUNT(*) FROM customer c WHERE Prefix(c.c_name, -1) = 'x'", "Prefix"},
+		{"SumMod zero", "SELECT COUNT(*) FROM customer c, orders o WHERE SumMod(c.c_custkey, o.o_custkey, 0) = 1", "SumMod"},
+		{"65 aliases", wide.String(), "at most 64"},
+	}
+	for _, c := range cases {
+		body, _ := json.Marshal(map[string]string{"sql": c.sql})
+		rec, _ := doJSON(t, h, "POST", "/query", string(body))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", c.name, rec.Code, rec.Body.String())
+			continue
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, c.cause) {
+			t.Errorf("%s: error body %s does not name %q", c.name, rec.Body.String(), c.cause)
+		}
+	}
+}

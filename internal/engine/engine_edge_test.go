@@ -26,7 +26,7 @@ func TestSelfJoinAliases(t *testing.T) {
 		MustBuild()
 	e := New(cat)
 	rel, _, err := e.ExecTree(q,
-		plan.NewJoin(plan.NewLeaf(query.NewAliasSet("o1")), plan.NewLeaf(query.NewAliasSet("o2"))),
+		plan.NewJoin(plan.NewLeaf(q.Set("o1")), plan.NewLeaf(q.Set("o2"))),
 		&Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestMultiplePredicatesAtOneJoin(t *testing.T) {
 		MustBuild()
 	e := New(cat)
 	rel, _, err := e.ExecTree(qAB,
-		plan.NewJoin(plan.NewLeaf(query.NewAliasSet("A")), plan.NewLeaf(query.NewAliasSet("B"))), &Budget{})
+		plan.NewJoin(plan.NewLeaf(qAB.Set("A")), plan.NewLeaf(qAB.Set("B"))), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestMultiplePredicatesAtOneJoin(t *testing.T) {
 		Join(expr.Identity("A.y"), expr.Identity("C.y")).
 		MustBuild()
 	rel, _, err = e.ExecTree(qAC,
-		plan.NewJoin(plan.NewLeaf(query.NewAliasSet("A")), plan.NewLeaf(query.NewAliasSet("C"))), &Budget{})
+		plan.NewJoin(plan.NewLeaf(qAC.Set("A")), plan.NewLeaf(qAC.Set("C"))), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSigmaOverJoinedExpression(t *testing.T) {
 		Join(expr.Identity("A.v"), expr.Identity("C.v")).
 		MustBuild()
 	e := New(cat)
-	tree := plan.NewJoin(plan.NewLeaf(query.NewAliasSet("A")), plan.NewLeaf(query.NewAliasSet("B"))).WithSigma()
+	tree := plan.NewJoin(plan.NewLeaf(q.Set("A")), plan.NewLeaf(q.Set("B"))).WithSigma()
 	_, res, err := e.ExecTree(q, tree, &Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -147,11 +147,11 @@ func TestBudgetSharedAcrossTrees(t *testing.T) {
 	b := &Budget{MaxTuples: 1600}
 	// First tree: R filtered-free scan (1000) + S (50) + join (500) = 1550.
 	if _, _, err := e.ExecTree(q, plan.NewJoin(
-		plan.NewLeaf(query.NewAliasSet("R")), plan.NewLeaf(query.NewAliasSet("S"))), b); err != nil {
+		plan.NewLeaf(q.Set("R")), plan.NewLeaf(q.Set("S"))), b); err != nil {
 		t.Fatalf("first tree should fit: %v", err)
 	}
 	// Second tree (Σ over the 1000-row R) cannot fit in the remaining 50.
-	if _, _, err := e.ExecTree(q, plan.NewLeaf(query.NewAliasSet("R")).WithSigma(), b); err == nil {
+	if _, _, err := e.ExecTree(q, plan.NewLeaf(q.Set("R")).WithSigma(), b); err == nil {
 		t.Error("second tree must exhaust the shared budget")
 	}
 }
@@ -171,7 +171,7 @@ func TestEmptyInputsPropagate(t *testing.T) {
 		Join(expr.Identity("E.k"), expr.Identity("F.k")).
 		MustBuild()
 	e := New(cat)
-	tree := plan.NewJoin(plan.NewLeaf(query.NewAliasSet("E")), plan.NewLeaf(query.NewAliasSet("F"))).WithSigma()
+	tree := plan.NewJoin(plan.NewLeaf(q.Set("E")), plan.NewLeaf(q.Set("F"))).WithSigma()
 	rel, res, err := e.ExecTree(q, tree, &Budget{})
 	if err != nil {
 		t.Fatal(err)

@@ -54,14 +54,14 @@ func rstQuery() *query.Query {
 		MustBuild()
 }
 
-func leaf(names ...string) *plan.Node { return plan.NewLeaf(query.NewAliasSet(names...)) }
+func leaf(q *query.Query, names ...string) *plan.Node { return plan.NewLeaf(q.Set(names...)) }
 
 func TestHashJoinCorrectness(t *testing.T) {
 	e := New(fixture())
 	q := rstQuery()
 	// R ⋈ S on a=k: R.a in 0..99 uniform (10 each); S.k in 0..49 one each.
 	// Matches: for each of S's 50 keys, 10 R rows → 500 rows.
-	rel, res, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{})
+	rel, res, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "S")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestHashJoinCorrectness(t *testing.T) {
 func TestJoinCommutativity(t *testing.T) {
 	q := rstQuery()
 	e1, e2 := New(fixture()), New(fixture())
-	a, _, err := e1.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{})
+	a, _, err := e1.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "S")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := e2.ExecTree(q, plan.NewJoin(leaf("S"), leaf("R")), &Budget{})
+	b, _, err := e2.ExecTree(q, plan.NewJoin(leaf(q, "S"), leaf(q, "R")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +105,9 @@ func TestThreeWayJoinOrderInvariance(t *testing.T) {
 	q := rstQuery()
 	counts := map[string]int{}
 	for _, tree := range []*plan.Node{
-		plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T")),
-		plan.NewJoin(plan.NewJoin(leaf("R"), leaf("T")), leaf("S")),
-		plan.NewJoin(leaf("T"), plan.NewJoin(leaf("S"), leaf("R"))),
+		plan.NewJoin(plan.NewJoin(leaf(q, "R"), leaf(q, "S")), leaf(q, "T")),
+		plan.NewJoin(plan.NewJoin(leaf(q, "R"), leaf(q, "T")), leaf(q, "S")),
+		plan.NewJoin(leaf(q, "T"), plan.NewJoin(leaf(q, "S"), leaf(q, "R"))),
 	} {
 		e := New(fixture())
 		rel, _, err := e.ExecTree(q, tree, &Budget{})
@@ -137,7 +137,7 @@ func TestCrossProductViaNestedLoop(t *testing.T) {
 	// nested loop producing |S|·|T| rows.
 	q := rstQuery()
 	e := New(fixture())
-	rel, _, err := e.ExecTree(q, plan.NewJoin(leaf("S"), leaf("T")), &Budget{})
+	rel, _, err := e.ExecTree(q, plan.NewJoin(leaf(q, "S"), leaf(q, "T")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSelectionPushdown(t *testing.T) {
 		Select(expr.Identity("R.b"), value.Int(3)).
 		MustBuild()
 	e := New(fixture())
-	rel, res, err := e.ExecTree(q, leaf("R"), &Budget{})
+	rel, res, err := e.ExecTree(q, leaf(q, "R"), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +174,14 @@ func TestSelectionPushdown(t *testing.T) {
 func TestMaterializedReuse(t *testing.T) {
 	q := rstQuery()
 	e := New(fixture())
-	if _, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{}); err != nil {
+	if _, _, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "S")), &Budget{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := e.Materialized("R+S"); !ok {
 		t.Fatal("root must be registered after execution")
 	}
 	// A later tree referencing [R+S] must reuse the registered relation.
-	rel, res, err := e.ExecTree(q, plan.NewJoin(leaf("R", "S"), leaf("T")), &Budget{})
+	rel, res, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R", "S"), leaf(q, "T")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestMaterializedReuse(t *testing.T) {
 func TestUnmaterializedLeafFails(t *testing.T) {
 	q := rstQuery()
 	e := New(fixture())
-	_, _, err := e.ExecTree(q, leaf("R", "S"), &Budget{})
+	_, _, err := e.ExecTree(q, leaf(q, "R", "S"), &Budget{})
 	if err == nil {
 		t.Error("unmaterialized multi-alias leaf must error")
 	}
@@ -206,7 +206,7 @@ func TestUnmaterializedLeafFails(t *testing.T) {
 func TestSigmaCollection(t *testing.T) {
 	q := rstQuery()
 	e := New(fixture())
-	rel, res, err := e.ExecTree(q, leaf("R").WithSigma(), &Budget{})
+	rel, res, err := e.ExecTree(q, leaf(q, "R").WithSigma(), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestSigmaSkipsNulls(t *testing.T) {
 		Join(expr.Between("D.txt", `id="`, `" end`), expr.Identity("E.n")).
 		MustBuild()
 	e := New(cat)
-	_, res, err := e.ExecTree(q, leaf("D").WithSigma(), &Budget{})
+	_, res, err := e.ExecTree(q, leaf(q, "D").WithSigma(), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestNullKeysNeverJoin(t *testing.T) {
 		Join(expr.City("D.txt"), expr.City("E.c")).
 		MustBuild()
 	e := New(cat)
-	rel, _, err := e.ExecTree(q, plan.NewJoin(leaf("D"), leaf("E")), &Budget{})
+	rel, _, err := e.ExecTree(q, plan.NewJoin(leaf(q, "D"), leaf(q, "E")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestMultiTableUDFResidual(t *testing.T) {
 		Join(expr.SumMod("s.k", "t1.k", 7), expr.Identity("t2.k")).
 		MustBuild()
 	e := New(fixture())
-	tree := plan.NewJoin(plan.NewJoin(leaf("s"), leaf("t1")), leaf("t2"))
+	tree := plan.NewJoin(plan.NewJoin(leaf(q, "s"), leaf(q, "t1")), leaf(q, "t2"))
 	rel, _, err := e.ExecTree(q, tree, &Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestMultiTableUDFResidual(t *testing.T) {
 	// join s with (t1⋈t2)? t1-t2 have no predicate either; use the flipped
 	// shape (s×t1) built right-deep instead.
 	e2 := New(fixture())
-	tree2 := plan.NewJoin(leaf("t2"), plan.NewJoin(leaf("s"), leaf("t1")))
+	tree2 := plan.NewJoin(leaf(q, "t2"), plan.NewJoin(leaf(q, "s"), leaf(q, "t1")))
 	rel2, _, err := e2.ExecTree(q, tree2, &Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestBudgetTupleCap(t *testing.T) {
 	q := rstQuery()
 	e := New(fixture())
 	b := &Budget{MaxTuples: 100}
-	_, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), b)
+	_, _, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "S")), b)
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
@@ -351,7 +351,7 @@ func TestBudgetDeadline(t *testing.T) {
 	b := &Budget{Deadline: time.Now().Add(-time.Second)}
 	// The deadline is polled every 4096 charges; a 500-output join fits under
 	// one poll, so use the bigger three-way join.
-	tree := plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T"))
+	tree := plan.NewJoin(plan.NewJoin(leaf(q, "R"), leaf(q, "S")), leaf(q, "T"))
 	_, _, err := e.ExecTree(q, tree, b)
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
@@ -362,7 +362,7 @@ func TestBudgetProducedTracksResult(t *testing.T) {
 	q := rstQuery()
 	e := New(fixture())
 	b := &Budget{}
-	_, res, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), b)
+	_, res, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "S")), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestSeedBaseStats(t *testing.T) {
 func TestFinalAggregate(t *testing.T) {
 	q := rstQuery()
 	e := New(fixture())
-	rel, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{})
+	rel, _, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "S")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestFinalAggregate(t *testing.T) {
 func TestResetDropsMaterialized(t *testing.T) {
 	q := rstQuery()
 	e := New(fixture())
-	if _, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{}); err != nil {
+	if _, _, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "S")), &Budget{}); err != nil {
 		t.Fatal(err)
 	}
 	e.Reset()
@@ -452,7 +452,7 @@ func TestHashJoinAgainstBruteForce(t *testing.T) {
 			Join(expr.Identity("A.k"), expr.Identity("B.k")).
 			MustBuild()
 		e := New(cat)
-		rel, _, err := e.ExecTree(q, plan.NewJoin(leaf("A"), leaf("B")), &Budget{})
+		rel, _, err := e.ExecTree(q, plan.NewJoin(leaf(q, "A"), leaf(q, "B")), &Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func bigQuery() *query.Query {
 func TestSerialParallelIdentical(t *testing.T) {
 	cat := bigFixture()
 	q := bigQuery()
-	tree := plan.NewJoin(leaf("BR"), leaf("BS")).WithSigma()
+	tree := plan.NewJoin(leaf(q, "BR"), leaf(q, "BS")).WithSigma()
 
 	run := func(par int) (*table.Relation, *ExecResult, float64) {
 		e := New(cat)
@@ -95,7 +95,7 @@ func TestSerialParallelIdentical(t *testing.T) {
 func TestParallelSpansCarryWorkers(t *testing.T) {
 	cat := bigFixture()
 	q := bigQuery()
-	tree := plan.NewJoin(leaf("BR"), leaf("BS")).WithSigma()
+	tree := plan.NewJoin(leaf(q, "BR"), leaf(q, "BS")).WithSigma()
 
 	trace := func(par int) *obs.Collector {
 		col := &obs.Collector{}
@@ -177,7 +177,7 @@ func TestParallelSpansCarryWorkers(t *testing.T) {
 func TestParallelBudgetAbort(t *testing.T) {
 	cat := bigFixture()
 	q := bigQuery()
-	tree := plan.NewJoin(leaf("BR"), leaf("BS"))
+	tree := plan.NewJoin(leaf(q, "BR"), leaf(q, "BS"))
 	for _, par := range []int{1, 4} {
 		e := New(cat)
 		e.Parallelism = par
@@ -244,7 +244,7 @@ func TestNestedLoopSpanReportsPairs(t *testing.T) {
 	col := &obs.Collector{}
 	e := New(cat)
 	e.Obs = obs.NewTracer(col)
-	if _, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("T")), &Budget{}); err != nil {
+	if _, _, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "T")), &Budget{}); err != nil {
 		t.Fatal(err)
 	}
 	nls := col.SpansOf(obs.KNestedLoop)
@@ -382,7 +382,7 @@ func TestNestedLoopSerialParallelIdentical(t *testing.T) {
 			MustBuild()},
 	}
 	cat := crossFixture(300, 40)
-	tree := plan.NewJoin(leaf("CL"), leaf("CR"))
+	tree := plan.NewJoin(leaf(cases[0].q, "CL"), leaf(cases[0].q, "CR")) // both queries mount CL and CR
 	for _, tc := range cases {
 		run := func(par int) (*table.Relation, float64, *obs.Span) {
 			col := &obs.Collector{}
@@ -422,7 +422,7 @@ func TestNestedLoopSerialParallelIdentical(t *testing.T) {
 func TestNestedLoopTinyInputs(t *testing.T) {
 	cat := crossFixture(3, 2000)
 	q := query.NewBuilder("tiny").Rel("CL", "CL").Rel("CR", "CR").MustBuild()
-	tree := plan.NewJoin(leaf("CL"), leaf("CR"))
+	tree := plan.NewJoin(leaf(q, "CL"), leaf(q, "CR"))
 	run := func(par int) *table.Relation {
 		e := New(cat)
 		e.Parallelism = par

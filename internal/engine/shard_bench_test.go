@@ -50,7 +50,7 @@ func benchQuery() *query.Query {
 func BenchmarkCopartHashJoin(b *testing.B) {
 	cat := benchCatalog(150_000, 600_000, 150_000)
 	q := benchQuery()
-	tree := plan.NewJoin(leaf("P"), leaf("B"))
+	tree := plan.NewJoin(leaf(q, "P"), leaf(q, "B"))
 	for _, s := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("S=%d", s), func(b *testing.B) {
 			cat.Shard(s)
@@ -74,7 +74,7 @@ func BenchmarkShardedBuildOnly(b *testing.B) {
 	const rows, keys, shards, workers = 600_000, 150_000, 16, 8
 	cat := benchCatalog(1, rows, keys)
 	buildRel := cat.MustGet("B")
-	bTerm := &query.Term{Aliases: query.NewAliasSet("B"), Fn: expr.Identity("B.k")}
+	bTerm := &query.Term{Fn: expr.Identity("B.k")}
 
 	b.Run("flat+merge", func(b *testing.B) {
 		b.ReportAllocs()

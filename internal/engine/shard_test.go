@@ -25,13 +25,13 @@ var shardCounts = []int{1, 2, 4, 16}
 func TestShardedMatchesUnsharded(t *testing.T) {
 	q := rstQuery()
 	trees := map[string]*plan.Node{
-		"copart":     plan.NewJoin(leaf("R"), leaf("S")),
-		"reshuffle":  plan.NewJoin(leaf("T"), leaf("R")),
-		"three-way":  plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T")),
-		"right-deep": plan.NewJoin(leaf("T"), plan.NewJoin(leaf("S"), leaf("R"))),
-		"sigma-join": plan.NewJoin(leaf("R"), leaf("S")).WithSigma(),
-		"sigma-leaf": leaf("R").WithSigma(),
-		"cross":      plan.NewJoin(leaf("S"), leaf("T")),
+		"copart":     plan.NewJoin(leaf(q, "R"), leaf(q, "S")),
+		"reshuffle":  plan.NewJoin(leaf(q, "T"), leaf(q, "R")),
+		"three-way":  plan.NewJoin(plan.NewJoin(leaf(q, "R"), leaf(q, "S")), leaf(q, "T")),
+		"right-deep": plan.NewJoin(leaf(q, "T"), plan.NewJoin(leaf(q, "S"), leaf(q, "R"))),
+		"sigma-join": plan.NewJoin(leaf(q, "R"), leaf(q, "S")).WithSigma(),
+		"sigma-leaf": leaf(q, "R").WithSigma(),
+		"cross":      plan.NewJoin(leaf(q, "S"), leaf(q, "T")),
 	}
 	for name, tree := range trees {
 		refRel, refRes, refProduced := execAt(t, fixture(), q, tree, -1, 1)
@@ -68,7 +68,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // per-shard parallelFilter, and the sharded partial-Σ merge at real widths.
 func TestShardedLargeParallel(t *testing.T) {
 	q := bigQuery()
-	tree := plan.NewJoin(leaf("BR"), leaf("BS")).WithSigma()
+	tree := plan.NewJoin(leaf(q, "BR"), leaf(q, "BS")).WithSigma()
 	refRel, refRes, refProduced := execAt(t, bigFixture(), q, tree, -1, 1)
 	for _, s := range shardCounts {
 		for _, par := range []int{1, 4} {
@@ -98,7 +98,7 @@ func TestShardedBuildSideSelections(t *testing.T) {
 		Join(expr.Identity("BR.a"), expr.Identity("BS.k")).
 		Select(expr.Identity("BS.k"), value.Int(37)).
 		MustBuild()
-	tree := plan.NewJoin(leaf("BR"), leaf("BS"))
+	tree := plan.NewJoin(leaf(q, "BR"), leaf(q, "BS"))
 	refRel, refRes, _ := execAt(t, bigFixture(), q, tree, -1, 1)
 	for _, s := range shardCounts {
 		for _, par := range []int{1, 4} {
@@ -120,6 +120,7 @@ func TestShardedBuildSideSelections(t *testing.T) {
 // its scan, a reshuffled build carries local=0 with the moved-row count,
 // and the monsoon.exchange.* counters see both. At S=1 none of it appears.
 func TestShardedSpansAndCounters(t *testing.T) {
+	q := rstQuery()
 	run := func(s int, tree *plan.Node) (*obs.Collector, *obs.Registry) {
 		cat := fixture()
 		cat.Shard(s)
@@ -134,7 +135,7 @@ func TestShardedSpansAndCounters(t *testing.T) {
 		return col, reg
 	}
 
-	copart := plan.NewJoin(leaf("R"), leaf("S")).WithSigma()
+	copart := plan.NewJoin(leaf(q, "R"), leaf(q, "S")).WithSigma()
 	col, reg := run(4, copart)
 	var scanSpans, shardSpans []*obs.Span
 	byID := map[int]*obs.Span{}
@@ -177,7 +178,7 @@ func TestShardedSpansAndCounters(t *testing.T) {
 
 	// R joined on its second column b: the build side is R (1000 rows, all
 	// keys non-NULL), so the build must reshuffle all 1000 rows.
-	reshuffle := plan.NewJoin(leaf("T"), leaf("R"))
+	reshuffle := plan.NewJoin(leaf(q, "T"), leaf(q, "R"))
 	col, reg = run(4, reshuffle)
 	sawBuild := false
 	for _, sp := range col.Spans {
@@ -228,10 +229,10 @@ func TestShardedMaterializedReuseNotLocal(t *testing.T) {
 	twoStep := func(cat *table.Catalog, reg *obs.Registry) *table.Relation {
 		e := New(cat)
 		e.Metrics = reg
-		if _, _, err := e.ExecTree(q, leaf("S"), &Budget{}); err != nil {
+		if _, _, err := e.ExecTree(q, leaf(q, "S"), &Budget{}); err != nil {
 			t.Fatal(err)
 		}
-		rel, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{})
+		rel, _, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "S")), &Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +260,8 @@ func TestShardedBudgetAbort(t *testing.T) {
 	cat := bigFixture()
 	cat.Shard(4)
 	e := New(cat)
-	_, _, err := e.ExecTree(bigQuery(), plan.NewJoin(leaf("BR"), leaf("BS")), &Budget{MaxTuples: 100})
+	bq := bigQuery()
+	_, _, err := e.ExecTree(bq, plan.NewJoin(leaf(bq, "BR"), leaf(bq, "BS")), &Budget{MaxTuples: 100})
 	if err != ErrBudget {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}

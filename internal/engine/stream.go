@@ -172,7 +172,7 @@ func (e *Exec) openLeaf(q *query.Query, n *plan.Node, budget *Budget, parent *ob
 	if n.Leaf.Size() != 1 {
 		return nil, nil, fmt.Errorf("engine: leaf %q references an unmaterialized expression", key)
 	}
-	alias := n.Leaf.Names()[0]
+	alias := n.Leaf.Alias()
 	tbl, ok := q.TableOf(alias)
 	if !ok {
 		return nil, nil, fmt.Errorf("engine: alias %q not in query", alias)
@@ -782,7 +782,7 @@ func (e *Exec) coPartitioned(q *query.Query, n *plan.Node, buildTerm *query.Term
 		// storage layer; its rows are not shard-partitioned.
 		return false
 	}
-	alias := n.Leaf.Names()[0]
+	alias := n.Leaf.Alias()
 	tbl, ok := q.TableOf(alias)
 	if !ok {
 		return false
@@ -822,7 +822,7 @@ func (e *Exec) openShardZero(q *query.Query, n *plan.Node, budget *Budget, res *
 	t0 := time.Now()
 	defer func() { res.Times[n.Key()] += time.Since(t0) }()
 	key := n.Key()
-	alias := n.Leaf.Names()[0]
+	alias := n.Leaf.Alias()
 	tbl, ok := q.TableOf(alias)
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("engine: alias %q not in query", alias)
@@ -870,7 +870,7 @@ func (e *Exec) openShardZero(q *query.Query, n *plan.Node, budget *Budget, res *
 // child span per storage shard.
 func (e *Exec) openShardLeaf(q *query.Query, n *plan.Node, budget *Budget, parent *obs.Span) (*shardScanIter, *table.Schema, error) {
 	key := n.Key()
-	alias := n.Leaf.Names()[0]
+	alias := n.Leaf.Alias()
 	tbl, ok := q.TableOf(alias)
 	if !ok {
 		return nil, nil, fmt.Errorf("engine: alias %q not in query", alias)

@@ -39,11 +39,11 @@ var streamBatchSizes = []int{1, 7, 4096, 1 << 20, -1}
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	q := rstQuery()
 	trees := map[string]*plan.Node{
-		"two-way":    plan.NewJoin(leaf("R"), leaf("S")),
-		"three-way":  plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T")),
-		"right-deep": plan.NewJoin(leaf("T"), plan.NewJoin(leaf("S"), leaf("R"))),
-		"cross":      plan.NewJoin(leaf("S"), leaf("T")),
-		"sigma-leaf": leaf("R").WithSigma(),
+		"two-way":    plan.NewJoin(leaf(q, "R"), leaf(q, "S")),
+		"three-way":  plan.NewJoin(plan.NewJoin(leaf(q, "R"), leaf(q, "S")), leaf(q, "T")),
+		"right-deep": plan.NewJoin(leaf(q, "T"), plan.NewJoin(leaf(q, "S"), leaf(q, "R"))),
+		"cross":      plan.NewJoin(leaf(q, "S"), leaf(q, "T")),
+		"sigma-leaf": leaf(q, "R").WithSigma(),
 	}
 	for name, tree := range trees {
 		refRel, refRes, refProduced := execAt(t, fixture(), q, tree, -1, 1)
@@ -73,7 +73,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 // answer byte for byte.
 func TestStreamingParallelMatchesSerial(t *testing.T) {
 	q := rstQuery()
-	tree := plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T"))
+	tree := plan.NewJoin(plan.NewJoin(leaf(q, "R"), leaf(q, "S")), leaf(q, "T"))
 	refRel, refRes, _ := execAt(t, fixture(), q, tree, -1, 1)
 	for _, batch := range streamBatchSizes {
 		for _, par := range []int{0, 2, 4} {
@@ -99,8 +99,8 @@ func TestStreamingResidualsAcrossBatches(t *testing.T) {
 		Join(expr.SumMod("s.k", "t1.k", 7), expr.Identity("t2.k")).
 		MustBuild()
 	for name, tree := range map[string]*plan.Node{
-		"left-deep":  plan.NewJoin(plan.NewJoin(leaf("s"), leaf("t1")), leaf("t2")),
-		"right-deep": plan.NewJoin(leaf("t2"), plan.NewJoin(leaf("s"), leaf("t1"))),
+		"left-deep":  plan.NewJoin(plan.NewJoin(leaf(q, "s"), leaf(q, "t1")), leaf(q, "t2")),
+		"right-deep": plan.NewJoin(leaf(q, "t2"), plan.NewJoin(leaf(q, "s"), leaf(q, "t1"))),
 	} {
 		refRel, refRes, _ := execAt(t, fixture(), q, tree, -1, 1)
 		for _, batch := range streamBatchSizes {
@@ -127,9 +127,9 @@ func TestStreamingEmptyInputs(t *testing.T) {
 		Join(expr.Identity("R.a"), expr.Identity("E.k")).
 		MustBuild()
 	for name, tree := range map[string]*plan.Node{
-		"empty-right": plan.NewJoin(leaf("R"), leaf("E")),
-		"empty-left":  plan.NewJoin(leaf("E"), leaf("R")),
-		"empty-leaf":  leaf("E"),
+		"empty-right": plan.NewJoin(leaf(q, "R"), leaf(q, "E")),
+		"empty-left":  plan.NewJoin(leaf(q, "E"), leaf(q, "R")),
+		"empty-leaf":  leaf(q, "E"),
 	} {
 		for _, batch := range streamBatchSizes {
 			e := New(cat)
@@ -157,10 +157,10 @@ func TestStreamingReuseAcrossBatchSizes(t *testing.T) {
 	for _, batch := range streamBatchSizes {
 		e := New(fixture())
 		e.BatchSize = batch
-		if _, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{}); err != nil {
+		if _, _, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "S")), &Budget{}); err != nil {
 			t.Fatal(err)
 		}
-		rel, res, err := e.ExecTree(q, plan.NewJoin(leaf("R", "S"), leaf("T")), &Budget{})
+		rel, res, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R", "S"), leaf(q, "T")), &Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestStreamingBudgetCharges(t *testing.T) {
 	for _, batch := range streamBatchSizes {
 		e := New(fixture())
 		e.BatchSize = batch
-		_, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{MaxTuples: 100})
+		_, _, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "S")), &Budget{MaxTuples: 100})
 		if err == nil {
 			t.Errorf("batch %d: tuple cap must trip", batch)
 		}
@@ -196,7 +196,7 @@ func TestStreamingPeakBytesSampled(t *testing.T) {
 	q := rstQuery()
 	e := New(fixture())
 	e.Metrics = obs.NewRegistry()
-	_, res, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{})
+	_, res, err := e.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "S")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestStreamingPeakBytesSampled(t *testing.T) {
 	// Without a registry the sampler stays off: no MemStats reads on the hot
 	// path, and PeakBytes stays zero.
 	e2 := New(fixture())
-	_, res2, err := e2.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{})
+	_, res2, err := e2.ExecTree(q, plan.NewJoin(leaf(q, "R"), leaf(q, "S")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

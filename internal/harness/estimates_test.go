@@ -44,9 +44,10 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestNodeFor(t *testing.T) {
+	q := query.NewBuilder("abc").Rel("a", "a").Rel("b", "b").Rel("c", "c").MustBuild()
 	tree := plan.NewJoin(plan.NewJoin(
-		plan.NewLeaf(query.NewAliasSet("a")), plan.NewLeaf(query.NewAliasSet("b"))),
-		plan.NewLeaf(query.NewAliasSet("c")))
+		plan.NewLeaf(q.Set("a")), plan.NewLeaf(q.Set("b"))),
+		plan.NewLeaf(q.Set("c")))
 	if n := nodeFor(tree, "a+b"); n == nil || n.Key() != "a+b" {
 		t.Error("nodeFor missed an inner node")
 	}

@@ -196,7 +196,7 @@ func Table1(w io.Writer) {
 		st.SetMeasured(3, "T", d4)
 		return st
 	}
-	leaf := func(n string) *plan.Node { return plan.NewLeaf(query.NewAliasSet(n)) }
+	leaf := func(n string) *plan.Node { return plan.NewLeaf(q.Set(n)) }
 	fmt.Fprintln(w, "Table 1: enumerating attribute cardinalities (§2.3)")
 	fmt.Fprintf(w, "%-10s %-10s %-22s %-12s\n", "d(F2,S)", "d(F4,T)", "Optimal Plan", "Int. Tuples")
 	for _, c := range []struct{ d2, d4 float64 }{{1, 1}, {1, 10000}, {10000, 1}, {10000, 10000}} {
@@ -840,7 +840,7 @@ func fanoutFixture(sf float64) (*query.Query, *table.Catalog, *plan.Node) {
 		Join(expr.Identity("big.b"), expr.Identity("tt.t")).
 		MustBuild()
 	tree := plan.NewJoin(
-		plan.NewJoin(plan.NewLeaf(query.NewAliasSet("big")), plan.NewLeaf(query.NewAliasSet("fan"))),
-		plan.NewLeaf(query.NewAliasSet("tt")))
+		plan.NewJoin(plan.NewLeaf(q.Set("big")), plan.NewLeaf(q.Set("fan"))),
+		plan.NewLeaf(q.Set("tt")))
 	return q, cat, tree
 }

@@ -75,8 +75,8 @@ func Figure1(w io.Writer, seed int64) error {
 		eng := engine.New(cat)
 		second := map[string]string{"S": "T", "T": "S"}[first]
 		tree := plan.NewJoin(plan.NewJoin(
-			plan.NewLeaf(query.NewAliasSet("R")), plan.NewLeaf(query.NewAliasSet(first))),
-			plan.NewLeaf(query.NewAliasSet(second)))
+			plan.NewLeaf(q.Set("R")), plan.NewLeaf(q.Set(first))),
+			plan.NewLeaf(q.Set(second)))
 		_, er, err := eng.ExecTree(q, tree, &engine.Budget{})
 		if err != nil {
 			return -1

@@ -58,7 +58,6 @@ func shardingShapes() []struct {
 	q    *query.Query
 	tree *plan.Node
 } {
-	lf := func(n string) *plan.Node { return plan.NewLeaf(query.NewAliasSet(n)) }
 	copart := query.NewBuilder("shard-copart").
 		Rel("o", "orders").Rel("l", "lineitem").
 		Join(expr.Identity("o.o_orderkey"), expr.Identity("l.l_orderkey")).
@@ -72,8 +71,8 @@ func shardingShapes() []struct {
 		q    *query.Query
 		tree *plan.Node
 	}{
-		{"copart", copart, plan.NewJoin(lf("o"), lf("l"))},
-		{"reshuffle", reshuffle, plan.NewJoin(lf("c"), lf("o"))},
+		{"copart", copart, plan.NewJoin(plan.NewLeaf(copart.Set("o")), plan.NewLeaf(copart.Set("l")))},
+		{"reshuffle", reshuffle, plan.NewJoin(plan.NewLeaf(reshuffle.Set("c")), plan.NewLeaf(reshuffle.Set("o")))},
 	}
 }
 

@@ -20,8 +20,14 @@ type State interface {
 	Terminal() bool
 	// OutcomeKey buckets this state among the possible outcomes of a
 	// stochastic transition; it only needs to discriminate between
-	// materially different sampled worlds.
-	OutcomeKey() string
+	// materially different sampled worlds. Chance children are keyed by it,
+	// so it is computed on every tree step and should not allocate.
+	OutcomeKey() uint64
+	// OutcomeString is the readable form of OutcomeKey: two states have
+	// equal strings exactly when they have equal keys. The principal
+	// variation renders it only to break ties between equally visited
+	// outcomes deterministically.
+	OutcomeString() string
 }
 
 // Action is an MDP action; Key must uniquely identify it within its state.
@@ -43,6 +49,14 @@ type Model interface {
 // rollouts pick uniformly among legal actions.
 type RolloutModel interface {
 	RolloutAction(s State, rng *rand.Rand) Action
+}
+
+// Reuser lets a model advance rollout states in place. A rollout passes
+// StepReuse only states it got from an earlier Step or StepReuse of its own
+// and never uses again, so the model may reuse their memory for the
+// successor; the result must equal Step's.
+type Reuser interface {
+	StepReuse(s State, a Action) (next State, reward float64)
 }
 
 // Strategy selects among the two §5.1 selection strategies.
@@ -133,7 +147,24 @@ type edge struct {
 	action Action
 	visits int
 	total  float64
-	kids   map[string]*node // outcome key → successor decision node
+	kids   []outcome // successor decision nodes, one per outcome key
+}
+
+// outcome is one chance child of an edge. Deterministic transitions have a
+// single outcome and sampled ones a few, so a slice beats a map.
+type outcome struct {
+	key  uint64
+	node *node
+}
+
+// kid returns the successor for an outcome key, nil when unseen.
+func (e *edge) kid(key uint64) *node {
+	for _, k := range e.kids {
+		if k.key == key {
+			return k.node
+		}
+	}
+	return nil
 }
 
 type node struct {
@@ -209,7 +240,8 @@ func bestVisited(n *node) int {
 
 // principalVariation extracts the search's settled line of play: follow the
 // best-average edge at each decision node, and the most-visited outcome
-// (ties broken by key for determinism) under each stochastic edge.
+// (ties broken by the smaller OutcomeString for determinism) under each
+// stochastic edge. Strings are rendered only for tied outcomes.
 func principalVariation(n *node, maxDepth int) []string {
 	var line []string
 	for n != nil && len(line) < maxDepth {
@@ -220,10 +252,19 @@ func principalVariation(n *node, maxDepth int) []string {
 		e := n.edges[i]
 		line = append(line, e.action.Key())
 		var next *node
-		bestVisits, bestKey := -1, ""
-		for key, child := range e.kids {
-			if child.visits > bestVisits || (child.visits == bestVisits && key < bestKey) {
-				bestVisits, bestKey, next = child.visits, key, child
+		var nextStr string // next's OutcomeString, once rendered
+		for _, k := range e.kids {
+			child := k.node
+			switch {
+			case next == nil || child.visits > next.visits:
+				next, nextStr = child, ""
+			case child.visits == next.visits:
+				if nextStr == "" {
+					nextStr = next.state.OutcomeString()
+				}
+				if s := child.state.OutcomeString(); s < nextStr {
+					next, nextStr = child, s
+				}
 			}
 		}
 		n = next
@@ -243,16 +284,16 @@ func (p *Planner) simulate(m Model, n *node, depth, iter int) float64 {
 	idx := p.selectEdge(n, iter)
 	freshlyExpanded := false
 	if n.edges[idx] == nil {
-		n.edges[idx] = &edge{action: n.actions[idx], kids: make(map[string]*node)}
+		n.edges[idx] = &edge{action: n.actions[idx]}
 		freshlyExpanded = true
 	}
 	e := n.edges[idx]
 	next, reward, _ := m.Step(n.state, e.action)
 	key := next.OutcomeKey()
-	child, ok := e.kids[key]
-	if !ok {
+	child := e.kid(key)
+	if child == nil {
 		child = p.newNode(m, next)
-		e.kids[key] = child
+		e.kids = append(e.kids, outcome{key, child})
 	}
 	var ret float64
 	if freshlyExpanded {
@@ -268,10 +309,13 @@ func (p *Planner) simulate(m Model, n *node, depth, iter int) float64 {
 	return ret
 }
 
-// rollout plays the default policy to a terminal state.
+// rollout plays the default policy to a terminal state. The first state is
+// the tree's; every later one is the rollout's own.
 func (p *Planner) rollout(m Model, s State, depth int) float64 {
 	total := 0.0
 	rm, biased := m.(RolloutModel)
+	ru, reusable := m.(Reuser)
+	owned := false
 	for !s.Terminal() && depth < p.cfg.MaxDepth {
 		var a Action
 		if biased {
@@ -286,9 +330,14 @@ func (p *Planner) rollout(m Model, s State, depth int) float64 {
 		if a == nil {
 			break
 		}
-		next, reward, _ := m.Step(s, a)
+		var reward float64
+		if reusable && owned {
+			s, reward = ru.StepReuse(s, a)
+		} else {
+			s, reward, _ = m.Step(s, a)
+		}
+		owned = true
 		total += reward
-		s = next
 		depth++
 	}
 	return total

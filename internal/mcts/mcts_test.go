@@ -12,8 +12,9 @@ import (
 
 type banditState struct{ done bool }
 
-func (s banditState) Terminal() bool     { return s.done }
-func (s banditState) OutcomeKey() string { return "" }
+func (s banditState) Terminal() bool        { return s.done }
+func (s banditState) OutcomeKey() uint64    { return 0 }
+func (s banditState) OutcomeString() string { return "" }
 
 type banditAction int
 
@@ -58,7 +59,13 @@ type probeState struct {
 }
 
 func (s probeState) Terminal() bool { return s.done }
-func (s probeState) OutcomeKey() string {
+func (s probeState) OutcomeKey() uint64 {
+	if s.revealed {
+		return 1 + uint64(s.coin)
+	}
+	return 0
+}
+func (s probeState) OutcomeString() string {
 	if s.revealed {
 		return "coin" + strconv.Itoa(s.coin)
 	}
@@ -171,8 +178,9 @@ func TestSingleActionShortCircuit(t *testing.T) {
 // penalty, and a biased rollout policy finds it immediately.
 type chainState struct{ pos, depth int }
 
-func (s chainState) Terminal() bool     { return s.pos >= s.depth }
-func (s chainState) OutcomeKey() string { return "" }
+func (s chainState) Terminal() bool        { return s.pos >= s.depth }
+func (s chainState) OutcomeKey() uint64    { return 0 }
+func (s chainState) OutcomeString() string { return "" }
 
 type chainGame struct {
 	depth       int

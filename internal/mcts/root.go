@@ -284,11 +284,11 @@ func mergeNode(dst, src *node) {
 		}
 		de.visits += se.visits
 		de.total += se.total
-		for key, sk := range se.kids {
-			if dk, ok := de.kids[key]; ok {
-				mergeNode(dk, sk)
+		for _, sk := range se.kids {
+			if dk := de.kid(sk.key); dk != nil {
+				mergeNode(dk, sk.node)
 			} else {
-				de.kids[key] = sk
+				de.kids = append(de.kids, sk)
 			}
 		}
 	}

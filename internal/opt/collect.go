@@ -95,7 +95,7 @@ func CollectOnDemand(q *query.Query, eng *engine.Engine, budget *engine.Budget) 
 			}
 		}
 		for _, t := range ts {
-			st.SetMeasured(t.id, query.NewAliasSet(r.Alias).Key(), t.h.Estimate())
+			st.SetMeasured(t.id, q.Set(r.Alias).Key(), t.h.Estimate())
 			measured++
 		}
 	}

@@ -50,7 +50,7 @@ func BestPlan(q *query.Query, dv *cost.Deriver) (*plan.Node, error) {
 				members = append(members, names[i])
 			}
 		}
-		sets[mask] = query.NewAliasSet(members...)
+		sets[mask] = q.Set(members...)
 		return sets[mask]
 	}
 	// Leaves.

@@ -32,13 +32,13 @@ func GreedyPlan(q *query.Query, st *stats.Store) (*plan.Node, error) {
 		}
 		return rels[i].alias < rels[j].alias
 	})
-	cover := query.NewAliasSet(rels[0].alias)
+	cover := q.Set(rels[0].alias)
 	tree := plan.NewLeaf(cover)
 	remaining := rels[1:]
 	for len(remaining) > 0 {
 		pick := -1
 		for i, r := range remaining { // remaining stays size-sorted
-			if q.Connected(cover, query.NewAliasSet(r.alias)) {
+			if q.Connected(cover, q.Set(r.alias)) {
 				pick = i
 				break
 			}
@@ -48,8 +48,8 @@ func GreedyPlan(q *query.Query, st *stats.Store) (*plan.Node, error) {
 		}
 		next := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		tree = plan.NewJoin(tree, plan.NewLeaf(query.NewAliasSet(next.alias)))
-		cover = cover.Union(query.NewAliasSet(next.alias))
+		tree = plan.NewJoin(tree, plan.NewLeaf(q.Set(next.alias)))
+		cover = cover.Union(q.Set(next.alias))
 	}
 	return tree, nil
 }

@@ -47,8 +47,12 @@ func (n *Node) WithSigma() *Node {
 	return &cp
 }
 
-// WithoutSigma returns a copy of the root with the Σ marker cleared.
+// WithoutSigma returns the root with the Σ marker cleared: n itself when it
+// carries none (nodes are immutable), a copy otherwise.
 func (n *Node) WithoutSigma() *Node {
+	if !n.Sigma {
+		return n
+	}
 	cp := *n
 	cp.Sigma = false
 	return &cp
@@ -79,7 +83,7 @@ func (n *Node) render(b *strings.Builder, root bool) {
 	}
 	if n.IsLeaf() {
 		if n.Leaf.Size() == 1 {
-			b.WriteString(n.Leaf.Names()[0])
+			b.WriteString(n.Leaf.Alias())
 		} else {
 			b.WriteString("[" + n.Leaf.Key() + "]")
 		}

@@ -6,7 +6,13 @@ import (
 	"monsoon/internal/query"
 )
 
-func l(names ...string) *Node { return NewLeaf(query.NewAliasSet(names...)) }
+// testQ mounts every alias the tests below build trees over.
+var testQ = query.NewBuilder("plan-test").
+	Rel("A", "A").Rel("B", "B").Rel("C", "C").
+	Rel("R", "R").Rel("S", "S").Rel("T", "T").
+	MustBuild()
+
+func l(names ...string) *Node { return NewLeaf(testQ.Set(names...)) }
 
 func TestLeafAndJoin(t *testing.T) {
 	r, s := l("R"), l("S")
@@ -75,12 +81,12 @@ func TestLeaves(t *testing.T) {
 
 func TestLeftDeep(t *testing.T) {
 	tree := LeftDeep([]query.AliasSet{
-		query.NewAliasSet("A"), query.NewAliasSet("B"), query.NewAliasSet("C"),
+		testQ.Set("A"), testQ.Set("B"), testQ.Set("C"),
 	})
 	if tree.String() != "((A⋈B)⋈C)" {
 		t.Errorf("LeftDeep = %q", tree.String())
 	}
-	single := LeftDeep([]query.AliasSet{query.NewAliasSet("A")})
+	single := LeftDeep([]query.AliasSet{testQ.Set("A")})
 	if !single.IsLeaf() {
 		t.Error("single-leaf LeftDeep should be a leaf")
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"sort"
 
 	"monsoon/internal/expr"
 	"monsoon/internal/value"
@@ -26,15 +27,22 @@ func (t *Term) String() string { return t.Fn.String() }
 type JoinPred struct {
 	ID   int
 	L, R *Term
+
+	all AliasSet // L.Aliases ∪ R.Aliases, set by Build
 }
 
 // Aliases returns the union of both sides' aliases.
-func (p *JoinPred) Aliases() AliasSet { return p.L.Aliases.Union(p.R.Aliases) }
+func (p *JoinPred) Aliases() AliasSet { return p.all }
 
 // ApplicableAt reports whether the predicate can be evaluated over an
 // expression covering the given alias set.
-func (p *JoinPred) ApplicableAt(s AliasSet) bool {
-	return p.L.Aliases.SubsetOf(s) && p.R.Aliases.SubsetOf(s)
+func (p *JoinPred) ApplicableAt(s AliasSet) bool { return p.all.SubsetOf(s) }
+
+// NewAt reports whether joining expressions covering left and right must
+// evaluate the predicate: it is applicable over their union but over neither
+// side alone.
+func (p *JoinPred) NewAt(left, right AliasSet) bool {
+	return p.all.SubsetOf(left.Union(right)) && !p.all.SubsetOf(left) && !p.all.SubsetOf(right)
 }
 
 // String renders the predicate.
@@ -51,6 +59,14 @@ type SelPred struct {
 
 // String renders the predicate.
 func (p *SelPred) String() string { return p.T.String() + " = " + p.Const.String() }
+
+// NewAt reports whether joining expressions covering left and right must
+// apply the selection: its term is evaluable over their union but over
+// neither side alone.
+func (p *SelPred) NewAt(left, right AliasSet) bool {
+	a := p.T.Aliases
+	return a.SubsetOf(left.Union(right)) && !a.SubsetOf(left) && !a.SubsetOf(right)
+}
 
 // AggKind selects the final aggregate computed over the completed join.
 type AggKind uint8
@@ -84,15 +100,24 @@ type Query struct {
 	Out   Agg
 
 	terms []*Term
+	all   AliasSet // every alias; its dictionary numbers the query's aliases
 }
 
 // Aliases returns the set of all aliases in the query.
-func (q *Query) Aliases() AliasSet {
-	names := make([]string, len(q.Rels))
-	for i, r := range q.Rels {
-		names[i] = r.Alias
+func (q *Query) Aliases() AliasSet { return q.all }
+
+// Set returns the set of the named aliases. It panics on a name the query
+// does not mount: callers pass aliases they read off the query itself.
+func (q *Query) Set(names ...string) AliasSet {
+	s := AliasSet{dict: q.all.dict}
+	for _, n := range names {
+		b, ok := q.all.dict.bit(n)
+		if !ok {
+			panic("query " + q.Name + ": no alias " + n)
+		}
+		s.bits |= b
 	}
-	return NewAliasSet(names...)
+	return s
 }
 
 // Terms returns every term in the query (join sides and selection terms),
@@ -130,10 +155,9 @@ func (q *Query) JoinsApplicableAt(s AliasSet) []*JoinPred {
 // of two alias sets but not over either side alone — exactly the predicates a
 // join of the two sides must evaluate.
 func (q *Query) PredsNewAt(left, right AliasSet) []*JoinPred {
-	union := left.Union(right)
 	var out []*JoinPred
 	for _, p := range q.Joins {
-		if p.ApplicableAt(union) && !p.ApplicableAt(left) && !p.ApplicableAt(right) {
+		if p.NewAt(left, right) {
 			out = append(out, p)
 		}
 	}
@@ -143,11 +167,9 @@ func (q *Query) PredsNewAt(left, right AliasSet) []*JoinPred {
 // SelsNewAt returns the selection predicates applicable at the union but not
 // within either side.
 func (q *Query) SelsNewAt(left, right AliasSet) []*SelPred {
-	union := left.Union(right)
 	var out []*SelPred
 	for _, p := range q.Sels {
-		la, ra := p.T.Aliases.SubsetOf(left), p.T.Aliases.SubsetOf(right)
-		if p.T.Aliases.SubsetOf(union) && !la && !ra {
+		if p.NewAt(left, right) {
 			out = append(out, p)
 		}
 	}
@@ -174,12 +196,14 @@ func TermEvaluableAt(t *Term, s AliasSet) bool { return t.Aliases.SubsetOf(s) }
 // predicate side evaluable (the multi-table-UDF case that can force a cross
 // product, e.g. F1(R,S) = F2(T) forces R×S before the predicate exists).
 func (q *Query) Connected(left, right AliasSet) bool {
-	if len(q.PredsNewAt(left, right)) > 0 {
-		return true
+	for _, p := range q.Joins {
+		if p.NewAt(left, right) {
+			return true
+		}
 	}
 	union := left.Union(right)
 	for _, p := range q.Joins {
-		for _, t := range []*Term{p.L, p.R} {
+		for _, t := range [2]*Term{p.L, p.R} {
 			if t.Aliases.Size() > 1 &&
 				t.Aliases.SubsetOf(union) &&
 				!t.Aliases.SubsetOf(left) && !t.Aliases.SubsetOf(right) {
@@ -190,13 +214,10 @@ func (q *Query) Connected(left, right AliasSet) bool {
 	return false
 }
 
-// Validate checks structural invariants: aliases resolve, join sides are
-// disjoint and non-empty, term IDs are dense. Builders call it; tests can too.
+// Validate checks structural invariants: join sides are disjoint and
+// non-empty, term IDs are dense. Build calls it after resolving every alias;
+// tests can too.
 func (q *Query) Validate() error {
-	all := q.Aliases()
-	if all.Size() != len(q.Rels) {
-		return fmt.Errorf("query %s: duplicate aliases", q.Name)
-	}
 	for _, p := range q.Joins {
 		if p.L.Aliases.IsEmpty() || p.R.Aliases.IsEmpty() {
 			return fmt.Errorf("query %s: join pred %d has an empty side", q.Name, p.ID)
@@ -204,18 +225,58 @@ func (q *Query) Validate() error {
 		if p.L.Aliases.Intersects(p.R.Aliases) {
 			return fmt.Errorf("query %s: join pred %d sides overlap", q.Name, p.ID)
 		}
-		if !p.Aliases().SubsetOf(all) {
-			return fmt.Errorf("query %s: join pred %d references unknown alias", q.Name, p.ID)
-		}
-	}
-	for _, p := range q.Sels {
-		if !p.T.Aliases.SubsetOf(all) {
-			return fmt.Errorf("query %s: selection %d references unknown alias", q.Name, p.ID)
-		}
 	}
 	for i, t := range q.terms {
 		if t.ID != i {
 			return fmt.Errorf("query %s: term ID %d at index %d", q.Name, t.ID, i)
+		}
+	}
+	return nil
+}
+
+// resolve numbers the aliases in sorted name order and computes every term's
+// and join predicate's alias set. It fails on a duplicate alias, on more
+// than MaxAliases relations, and on a term over an alias the query does not
+// mount.
+func (q *Query) resolve() error {
+	names := make([]string, len(q.Rels))
+	for i, r := range q.Rels {
+		names[i] = r.Alias
+	}
+	sort.Strings(names)
+	for i := 1; i < len(names); i++ {
+		if names[i] == names[i-1] {
+			return fmt.Errorf("query %s: duplicate aliases", q.Name)
+		}
+	}
+	if len(names) > MaxAliases {
+		return fmt.Errorf("query %s: %d relations, at most %d supported", q.Name, len(names), MaxAliases)
+	}
+	d := newAliasDict(names)
+	q.all = AliasSet{dict: d}
+	for i := range names {
+		q.all.bits |= 1 << uint(i)
+	}
+	set := func(t *Term) bool {
+		t.Aliases = AliasSet{dict: d}
+		for _, a := range t.Fn.Aliases() {
+			b, ok := d.bit(a)
+			if !ok {
+				return false
+			}
+			t.Aliases.bits |= b
+		}
+		return true
+	}
+	for _, p := range q.Joins {
+		if !set(p.L) || !set(p.R) {
+			return fmt.Errorf("query %s: join pred %d references unknown alias", q.Name, p.ID)
+		}
+		p.all = p.L.Aliases.Union(p.R.Aliases)
+	}
+	for _, p := range q.Sels {
+		if !set(p.T) {
+			return fmt.Errorf("query %s: selection %d references unknown alias", q.Name, p.ID)
 		}
 	}
 	return nil
@@ -238,7 +299,7 @@ func (b *Builder) Rel(alias, tableName string) *Builder {
 }
 
 func (b *Builder) term(fn *expr.UDF) *Term {
-	t := &Term{ID: len(b.q.terms), Fn: fn, Aliases: NewAliasSet(fn.Aliases()...)}
+	t := &Term{ID: len(b.q.terms), Fn: fn}
 	b.q.terms = append(b.q.terms, t)
 	return t
 }
@@ -263,8 +324,11 @@ func (b *Builder) Sum(attr string) *Builder {
 	return b
 }
 
-// Build validates and returns the query.
+// Build resolves the aliases, validates and returns the query.
 func (b *Builder) Build() (*Query, error) {
+	if err := b.q.resolve(); err != nil {
+		return nil, err
+	}
 	if err := b.q.Validate(); err != nil {
 		return nil, err
 	}

@@ -12,11 +12,12 @@ import (
 // New returns a rand.Rand seeded through SplitMix64 so that nearby integer
 // seeds produce decorrelated streams.
 func New(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(splitmix64(uint64(seed)))))
+	return rand.New(rand.NewSource(int64(SplitMix64(uint64(seed)))))
 }
 
-// splitmix64 is the standard SplitMix64 finalizer.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the standard SplitMix64 step: it maps nearby inputs to
+// unrelated outputs, for seeds here and for hash finishing elsewhere.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -28,7 +29,7 @@ func splitmix64(x uint64) uint64 {
 func Derive(seed int64, label string) int64 {
 	h := uint64(seed)
 	for _, c := range label {
-		h = splitmix64(h ^ uint64(c))
+		h = SplitMix64(h ^ uint64(c))
 	}
 	return int64(h)
 }

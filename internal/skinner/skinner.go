@@ -90,7 +90,7 @@ func Run(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg Config) 
 			return res, engine.ErrBudget
 		}
 		order := chooseOrder(q, prefixes, cfg.UCTWeight, rng)
-		tree := leftDeep(order)
+		tree := leftDeep(q, order)
 		// The episode budget shares the run's deadline and counts toward its
 		// global tuple cap through res.Produced accounting below.
 		eb := &engine.Budget{MaxTuples: epBudget}
@@ -117,7 +117,7 @@ func Run(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg Config) 
 			}
 		}
 		progress := float64(len(er.Counts)) / float64(2*len(order)-1)
-		updateOrder(prefixes, order, progress)
+		updateOrder(q, prefixes, order, progress)
 		if err == nil {
 			v, aerr := engine.FinalAggregate(q, rel)
 			if aerr != nil {
@@ -143,14 +143,14 @@ func Run(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg Config) 
 func chooseOrder(q *query.Query, prefixes map[string]*uctNode, w float64, rng interface{ Intn(int) int }) []string {
 	all := q.Aliases().Names()
 	var order []string
-	cover := query.NewAliasSet()
+	cover := query.AliasSet{}
 	remaining := append([]string(nil), all...)
 	for len(remaining) > 0 {
 		// Candidate next tables.
 		var cands []string
 		if len(order) > 0 {
 			for _, a := range remaining {
-				if q.Connected(cover, query.NewAliasSet(a)) {
+				if q.Connected(cover, q.Set(a)) {
 					cands = append(cands, a)
 				}
 			}
@@ -186,7 +186,7 @@ func chooseOrder(q *query.Query, prefixes map[string]*uctNode, w float64, rng in
 			}
 		}
 		order = append(order, pick)
-		cover = cover.Union(query.NewAliasSet(pick))
+		cover = cover.Union(q.Set(pick))
 		for i, a := range remaining {
 			if a == pick {
 				remaining = append(remaining[:i], remaining[i+1:]...)
@@ -199,8 +199,8 @@ func chooseOrder(q *query.Query, prefixes map[string]*uctNode, w float64, rng in
 
 // updateOrder backpropagates an episode's progress reward into every prefix
 // of the played order.
-func updateOrder(prefixes map[string]*uctNode, order []string, reward float64) {
-	cover := query.NewAliasSet()
+func updateOrder(q *query.Query, prefixes map[string]*uctNode, order []string, reward float64) {
+	cover := query.AliasSet{}
 	for _, a := range order {
 		node := prefixes[cover.Key()]
 		if node == nil {
@@ -215,14 +215,14 @@ func updateOrder(prefixes map[string]*uctNode, order []string, reward float64) {
 		node.visits++
 		st.visits++
 		st.total += reward
-		cover = cover.Union(query.NewAliasSet(a))
+		cover = cover.Union(q.Set(a))
 	}
 }
 
-func leftDeep(order []string) *plan.Node {
+func leftDeep(q *query.Query, order []string) *plan.Node {
 	sets := make([]query.AliasSet, len(order))
 	for i, a := range order {
-		sets[i] = query.NewAliasSet(a)
+		sets[i] = q.Set(a)
 	}
 	return plan.LeftDeep(sets)
 }

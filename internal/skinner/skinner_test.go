@@ -49,8 +49,8 @@ func referenceRows(t *testing.T) int {
 	cat, q := fixture()
 	eng := engine.New(cat)
 	tree := plan.NewJoin(plan.NewJoin(
-		plan.NewLeaf(query.NewAliasSet("R")), plan.NewLeaf(query.NewAliasSet("T"))),
-		plan.NewLeaf(query.NewAliasSet("S")))
+		plan.NewLeaf(q.Set("R")), plan.NewLeaf(q.Set("T"))),
+		plan.NewLeaf(q.Set("S")))
 	rel, _, err := eng.ExecTree(q, tree, &engine.Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestChooseOrderAvoidsCrossProducts(t *testing.T) {
 		if (order[0] == "S" && order[1] == "T") || (order[0] == "T" && order[1] == "S") {
 			t.Errorf("order %v starts with a cross product", order)
 		}
-		updateOrder(prefixes, order, 0.5)
+		updateOrder(q, prefixes, order, 0.5)
 	}
 }
 

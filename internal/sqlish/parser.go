@@ -43,6 +43,23 @@ func nArgs(name string, wantAttrs, wantConsts int, f func([]string, []value.Valu
 	}
 }
 
+// minConst wraps a factory whose one literal argument must be at least min:
+// HashMod's bucket count and SumMod's modulus divide at evaluation time and
+// Prefix's length slices, so an out-of-range constant is a parse error here
+// rather than a failure in the middle of a query.
+func minConst(name, what string, min int64, f UDFFactory) UDFFactory {
+	return func(attrs []string, consts []value.Value) (*expr.UDF, error) {
+		fn, err := f(attrs, consts)
+		if err != nil {
+			return nil, err
+		}
+		if c := consts[0]; c.Kind() != value.KindInt || c.AsInt() < min {
+			return nil, fmt.Errorf("sqlish: %s %s must be an integer ≥ %d, got %s", name, what, min, c)
+		}
+		return fn, nil
+	}
+}
+
 // NewRegistry returns a registry with the expr stdlib pre-registered under
 // their SQL-visible names.
 func NewRegistry() *Registry {
@@ -62,12 +79,12 @@ func NewRegistry() *Registry {
 	r.Register("SetKey", nArgs("SetKey", 1, 0, func(a []string, _ []value.Value) *expr.UDF {
 		return expr.SetEqualsKey(a[0])
 	}))
-	r.Register("Prefix", nArgs("Prefix", 1, 1, func(a []string, c []value.Value) *expr.UDF {
+	r.Register("Prefix", minConst("Prefix", "length", 0, nArgs("Prefix", 1, 1, func(a []string, c []value.Value) *expr.UDF {
 		return expr.Prefix(a[0], int(c[0].AsInt()))
-	}))
-	r.Register("HashMod", nArgs("HashMod", 1, 1, func(a []string, c []value.Value) *expr.UDF {
+	})))
+	r.Register("HashMod", minConst("HashMod", "bucket count", 1, nArgs("HashMod", 1, 1, func(a []string, c []value.Value) *expr.UDF {
 		return expr.HashMod(a[0], c[0].AsInt())
-	}))
+	})))
 	r.Register("Sprintf", nArgs("Sprintf", 1, 1, func(a []string, c []value.Value) *expr.UDF {
 		return expr.Sprintf(a[0], c[0].AsString())
 	}))
@@ -77,9 +94,9 @@ func NewRegistry() *Registry {
 	r.Register("ConcatKey", nArgs("ConcatKey", 2, 0, func(a []string, _ []value.Value) *expr.UDF {
 		return expr.ConcatKey(a[0], a[1])
 	}))
-	r.Register("SumMod", nArgs("SumMod", 2, 1, func(a []string, c []value.Value) *expr.UDF {
+	r.Register("SumMod", minConst("SumMod", "modulus", 1, nArgs("SumMod", 2, 1, func(a []string, c []value.Value) *expr.UDF {
 		return expr.SumMod(a[0], a[1], c[0].AsInt())
-	}))
+	})))
 	return r
 }
 

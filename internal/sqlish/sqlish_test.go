@@ -172,7 +172,36 @@ func TestParsedQueryValidates(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !q.Connected(query.NewAliasSet("a"), query.NewAliasSet("b")) {
+	if !q.Connected(q.Set("a"), q.Set("b")) {
 		t.Error("parsed join graph wrong")
+	}
+}
+
+// TestUDFConstantsValidated: constants that would divide by zero or slice out
+// of range at evaluation time are rejected at parse time, with the UDF named
+// in the error; the boundary values still parse.
+func TestUDFConstantsValidated(t *testing.T) {
+	bad := map[string]string{
+		`SELECT COUNT(*) FROM r WHERE HashMod(r.a, 0) = 1`:         "HashMod",
+		`SELECT COUNT(*) FROM r WHERE HashMod(r.a, -3) = 1`:        "HashMod",
+		`SELECT COUNT(*) FROM r WHERE HashMod(r.a, 'x') = 1`:       "HashMod",
+		`SELECT COUNT(*) FROM r WHERE Prefix(r.a, -1) = 'x'`:       "Prefix",
+		`SELECT COUNT(*) FROM r, s WHERE SumMod(r.a, s.b, 0) = 1`:  "SumMod",
+		`SELECT COUNT(*) FROM r, s WHERE SumMod(r.a, s.b, -7) = 1`: "SumMod",
+	}
+	for src, udf := range bad {
+		_, err := Parse("bad", src, nil)
+		if err == nil || !strings.Contains(err.Error(), udf) {
+			t.Errorf("Parse(%q) = %v, want an error naming %s", src, err, udf)
+		}
+	}
+	for _, src := range []string{
+		`SELECT COUNT(*) FROM r WHERE HashMod(r.a, 1) = 0`,
+		`SELECT COUNT(*) FROM r WHERE Prefix(r.a, 0) = ''`,
+		`SELECT COUNT(*) FROM r, s WHERE SumMod(r.a, s.b, 1) = 0`,
+	} {
+		if _, err := Parse("ok", src, nil); err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -244,5 +245,112 @@ func TestBucketSignatureHardeningBoundary(t *testing.T) {
 	grown.SetMeasured(3, "R+S", 8)
 	if grown.BucketSignature() == base.BucketSignature() {
 		t.Error("newly hardened entries must change the key")
+	}
+}
+
+// TestOverlayCopyOnWrite: an overlay resolves everything its root does, keeps
+// its own writes (and shadowing) to itself, and an overlay of an overlay
+// inherits its parent's writes.
+func TestOverlayCopyOnWrite(t *testing.T) {
+	root := New()
+	root.SetCount("R", 100)
+	root.SetMeasured(0, "R", 10)
+	root.SetAssumed(1, "S", "R", 3)
+	o := root.Overlay()
+	if c, ok := o.Count("R"); !ok || c != 100 {
+		t.Errorf("overlay Count(R) = %v, %v", c, ok)
+	}
+	if d, ok := o.Distinct(1, "S", "R"); !ok || d != 3 {
+		t.Errorf("overlay Distinct = %v, %v", d, ok)
+	}
+	o.SetCount("R", 50)
+	o.SetCount("R+S", 7)
+	o.SetMeasured(1, "S", 4) // measured wins over the root's assumed value
+	if c, _ := root.Count("R"); c != 100 {
+		t.Error("overlay write leaked into the root")
+	}
+	if _, ok := root.Count("R+S"); ok {
+		t.Error("overlay count leaked into the root")
+	}
+	if c, _ := o.Count("R"); c != 50 {
+		t.Error("overlay does not shadow the root")
+	}
+	if d, _ := o.Distinct(1, "S", "R"); d != 4 {
+		t.Errorf("measured overlay value must win, got %v", d)
+	}
+	oo := o.Overlay()
+	oo.SetAssumed(2, "T", "R", 9)
+	if c, _ := oo.Count("R+S"); c != 7 {
+		t.Error("nested overlay lost its parent's write")
+	}
+	if _, ok := o.Distinct(2, "T", "R"); ok {
+		t.Error("nested overlay write leaked into its parent")
+	}
+	flat := oo.Clone()
+	if flat.String() != oo.String() || flat.CountEntries() != 2 || flat.AssumedEntries() != 2 {
+		t.Errorf("Clone of an overlay:\n%s\nwant\n%s", flat, oo)
+	}
+}
+
+// TestBucketDigestMatchesSignature: over random stores and overlays, equal
+// digests exactly when equal signatures, and an overlay digests like its
+// flattened clone.
+func TestBucketDigestMatchesSignature(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := []string{"R", "S", "R+S", "raw:R", "T"}
+	fill := func(s *Store, n int) {
+		for i := 0; i < n; i++ {
+			k := keys[rng.Intn(len(keys))]
+			v := float64(rng.Intn(40))
+			switch rng.Intn(3) {
+			case 0:
+				s.SetCount(k, v)
+			case 1:
+				s.SetMeasured(rng.Intn(3), k, v)
+			default:
+				s.SetAssumed(rng.Intn(3), k, keys[rng.Intn(len(keys))], v)
+			}
+		}
+	}
+	bySig := map[string]uint64{}
+	byDigest := map[uint64]string{}
+	for i := 0; i < 400; i++ {
+		root := New()
+		fill(root, rng.Intn(4))
+		s := root
+		if i%2 == 1 {
+			s = root.Overlay()
+			fill(s, rng.Intn(4))
+			if i%4 == 3 {
+				s = s.Overlay()
+				fill(s, rng.Intn(3))
+			}
+			if s.BucketDigest() != s.Clone().BucketDigest() {
+				t.Fatalf("overlay digest differs from its clone's: %s", s)
+			}
+		}
+		sig, dig := s.BucketSignature(), s.BucketDigest()
+		if d, ok := bySig[sig]; ok && d != dig {
+			t.Fatalf("signature %q has digests %x and %x", sig, d, dig)
+		}
+		if g, ok := byDigest[dig]; ok && g != sig {
+			t.Fatalf("digest %x covers %q and %q", dig, g, sig)
+		}
+		bySig[sig], byDigest[dig] = dig, sig
+	}
+	if len(bySig) < 100 {
+		t.Errorf("only %d distinct stores generated", len(bySig))
+	}
+}
+
+func TestBucketDigestDoesNotAllocate(t *testing.T) {
+	root := New()
+	root.SetCount("R", 100)
+	root.SetMeasured(0, "R", 10)
+	o := root.Overlay()
+	o.SetCount("R", 3)
+	o.SetAssumed(1, "S", "R", 3)
+	if allocs := testing.AllocsPerRun(100, func() { _ = o.BucketDigest() }); allocs != 0 {
+		t.Errorf("BucketDigest allocated %.1f times per call", allocs)
 	}
 }

@@ -6,6 +6,7 @@ package table
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 
 	"monsoon/internal/value"
@@ -195,12 +196,14 @@ func (c *Catalog) MustGet(name string) *Relation {
 	return r
 }
 
-// Names lists the registered table names (unordered).
+// Names lists the registered table names in sorted order, so callers that
+// walk the catalog (and draw randomness per table) are deterministic.
 func (c *Catalog) Names() []string {
 	out := make([]string, 0, len(c.tables))
 	for n := range c.tables {
 		out = append(out, n)
 	}
+	sort.Strings(out)
 	return out
 }
 
