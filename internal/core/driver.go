@@ -33,7 +33,8 @@ type Config struct {
 	// available, this can be handled ... by simply initializing the
 	// optimization problem so that any relevant statistics are known").
 	// Raw base-table counts are always added. The store is used directly
-	// and mutated by the run.
+	// and mutated by the run; its search shards read it without locking,
+	// so nothing else may write it while the run is in progress.
 	Stats *stats.Store
 	// Trace, when non-nil, receives one line per real-world action — the
 	// legacy textual trace. It is implemented as an obs.MessageSink layered
