@@ -273,8 +273,7 @@ func (dv *Deriver) coPartitioned(n *plan.Node, bt *query.Term) bool {
 	if !ok {
 		return false
 	}
-	fn := bt.Fn
-	return fn.Name == "id" && len(fn.Args) == 1 && fn.Args[0] == alias+colSuffix(key)
+	return bt.Fn.IsIdentity() && bt.Fn.Args[0] == alias+colSuffix(key)
 }
 
 // colSuffix turns the layout's base-qualified shard key ("lineitem.l_orderkey")

@@ -301,13 +301,6 @@ type boundSel struct {
 	k value.Value
 }
 
-// residual is a predicate evaluated per joined row pair.
-type residual struct {
-	lb, rb *expr.Binding // join predicate sides (nil for selections)
-	sb     *expr.Binding // selection term
-	k      value.Value   // selection constant
-}
-
 // bucket chains the build rows of one join-key value; hashTable maps key
 // hashes to their (collision-chained) buckets. After the build phase the
 // table is read-only, so probe workers share it without locks.
@@ -373,21 +366,6 @@ func (t *shardedTable) chains(h uint64) []bucket {
 // exchange paths below key every behavior change off it so an unsharded
 // catalog takes exactly the legacy code paths.
 func (e *Exec) shardCount() int { return e.eng.Cat.ShardCount() }
-
-func passResiduals(row table.Row, residuals []residual) bool {
-	for _, r := range residuals {
-		if r.sb != nil {
-			if !r.sb.Eval(row).Equal(r.k) {
-				return false
-			}
-			continue
-		}
-		if !r.lb.Eval(row).Equal(r.rb.Eval(row)) {
-			return false
-		}
-	}
-	return true
-}
 
 // collectSigma runs the Σ pass: one more scan of the materialized result,
 // feeding every evaluable UDF term through an HLL sketch. Identity terms are

@@ -1,12 +1,12 @@
 // Parallel execution paths for the engine's partitionable operators: filter
-// scans, both sides of hash joins (partitioned build, partitioned probe),
-// the nested-loop/cross-product fallback, and the Σ statistics pass. All
-// follow the same recipe — split the input into contiguous chunks, give
-// every worker its own bindings, scratch row, and output buffer, and stitch
-// (or merge) the buffers back together in input order — so a parallel run is
-// bit-identical to the serial one: same row order, same hash-table chain
-// order, same Σ sketch estimates (HLL register merge is order-independent),
-// same budget totals. Only wall time changes.
+// scans, hash-join builds, and the Σ statistics pass; the two join loops fan
+// out through the same runner from join.go. All follow the same recipe —
+// split the input into contiguous chunks, give every worker its own bindings
+// and output buffer, and stitch (or merge) the buffers back together in
+// input order — so a parallel run is bit-identical to the serial one: same
+// row order, same hash-table chain order, same Σ sketch estimates (HLL
+// register merge is order-independent), same budget totals. Only wall time
+// changes.
 package engine
 
 import (
@@ -159,8 +159,7 @@ func stitch(bufs [][]table.Row) []table.Row {
 	return out
 }
 
-// bindSels resolves every pushed-down selection against a schema. Bindings
-// hold per-evaluation scratch, so each worker binds its own set.
+// bindSels resolves every pushed-down selection against a schema.
 func bindSels(sels []*query.SelPred, s *table.Schema) ([]boundSel, bool) {
 	bound := make([]boundSel, 0, len(sels))
 	for _, sel := range sels {
@@ -173,106 +172,45 @@ func bindSels(sels []*query.SelPred, s *table.Schema) ([]boundSel, bool) {
 	return bound, true
 }
 
-// rebindResiduals gives a worker its own residual bindings over the output
-// schema (the shared ones carry scratch buffers and must not be shared).
-func rebindResiduals(residuals []residual, s *table.Schema) []residual {
-	if len(residuals) == 0 {
-		return nil
-	}
-	out := make([]residual, len(residuals))
-	for i, r := range residuals {
-		if r.sb != nil {
-			sb, _ := r.sb.UDF().Bind(s)
-			out[i] = residual{sb: sb, k: r.k}
-			continue
+// filter keeps the rows every bound selection accepts, charging one tuple
+// per kept row: the selection scan's loop body. On a budget error the rows
+// kept so far come back with it.
+func filter(bound []boundSel, rows []table.Row, budget *Budget) ([]table.Row, error) {
+	out := make([]table.Row, 0, len(rows)/4+1)
+	for _, row := range rows {
+		keep := true
+		for _, s := range bound {
+			if !s.b.Eval(row).Equal(s.k) {
+				keep = false
+				break
+			}
 		}
-		lb, _ := r.lb.UDF().Bind(s)
-		rb, _ := r.rb.UDF().Bind(s)
-		out[i] = residual{lb: lb, rb: rb}
+		if keep {
+			out = append(out, row)
+			if err := budget.Charge(1); err != nil {
+				return out, err
+			}
+		}
 	}
-	return out
+	return out, nil
 }
 
-// parallelFilter is the fan-out version of execLeaf's selection scan: chunked
-// input, per-worker bindings and buffers, outputs stitched in input order.
-// Every binding was validated by the caller, so worker rebinds cannot fail.
-func parallelFilter(base *table.Relation, sels []*query.SelPred, budget *Budget, w int, run workerRunner) ([]table.Row, error) {
+// runFilter filters one slab: inline when w == 1, otherwise over w
+// contiguous chunks, each worker with cloned bindings, outputs stitched in
+// input order.
+func runFilter(bound []boundSel, rows []table.Row, budget *Budget, w int, run workerRunner) ([]table.Row, error) {
+	if w <= 1 {
+		return filter(bound, rows, budget)
+	}
 	bufs := make([][]table.Row, w)
-	err := run(base.Count(), w, func(worker, lo, hi int) error {
-		bound, _ := bindSels(sels, base.Schema)
-		out := make([]table.Row, 0, (hi-lo)/4+1)
-		for _, row := range base.Rows[lo:hi] {
-			keep := true
-			for _, s := range bound {
-				if !s.b.Eval(row).Equal(s.k) {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				out = append(out, row)
-				if err := budget.Charge(1); err != nil {
-					bufs[worker] = out
-					return err
-				}
-			}
+	err := run(len(rows), w, func(worker, lo, hi int) error {
+		own := make([]boundSel, len(bound))
+		for i, s := range bound {
+			own[i] = boundSel{b: s.b.Clone(), k: s.k}
 		}
-		bufs[worker] = out
-		return nil
-	})
-	return stitch(bufs), err
-}
-
-// parallelProbe is the fan-out version of the hash-join probe loop: the hash
-// table is shared read-only, the probe side is chunked, and per-worker output
-// buffers are stitched back in probe order.
-func parallelProbe(buildRel, probeRel *table.Relation, ht *shardedTable, pTerm *query.Term,
-	residuals []residual, outSchema *table.Schema, leftIsBuild bool, budget *Budget, w int, run workerRunner) ([]table.Row, error) {
-	bufs := make([][]table.Row, w)
-	err := run(probeRel.Count(), w, func(worker, lo, hi int) error {
-		pb, _ := pTerm.Fn.Bind(probeRel.Schema)
-		res := rebindResiduals(residuals, outSchema)
-		scratch := make(table.Row, len(outSchema.Cols))
-		var out []table.Row
-		for _, prow := range probeRel.Rows[lo:hi] {
-			// Matchless probes produce nothing; poll the deadline anyway.
-			if err := budget.Charge(0); err != nil {
-				bufs[worker] = out
-				return err
-			}
-			k := pb.Eval(prow)
-			if k.IsNull() {
-				continue
-			}
-			for _, b := range ht.chains(k.Hash()) {
-				if !b.key.Equal(k) {
-					continue
-				}
-				for _, bi := range b.rows {
-					brow := buildRel.Rows[bi]
-					var lrow, rrow table.Row
-					if leftIsBuild {
-						lrow, rrow = brow, prow
-					} else {
-						lrow, rrow = prow, brow
-					}
-					copy(scratch, lrow)
-					copy(scratch[len(lrow):], rrow)
-					if !passResiduals(scratch, res) {
-						continue
-					}
-					joined := make(table.Row, len(scratch))
-					copy(joined, scratch)
-					out = append(out, joined)
-					if err := budget.Charge(1); err != nil {
-						bufs[worker] = out
-						return err
-					}
-				}
-			}
-		}
-		bufs[worker] = out
-		return nil
+		var err error
+		bufs[worker], err = filter(own, rows[lo:hi], budget)
+		return err
 	})
 	return stitch(bufs), err
 }
@@ -516,52 +454,6 @@ func shardLocalBuildPerm(buildRel *table.Relation, sh *table.Sharded, budget *Bu
 		return nil, inserted, err
 	}
 	return t, inserted, nil
-}
-
-// parallelNestedLoop fans the filtered-product scan out over contiguous
-// chunks of the outer (left) rows: per-worker residual bindings, scratch row,
-// and output buffer, stitched back in outer order — exactly the serial loop's
-// lrow-major output order. Returns the joined rows and the number of row
-// pairs scanned.
-func parallelNestedLoop(left, right *table.Relation, residuals []residual,
-	outSchema *table.Schema, budget *Budget, w int, run workerRunner) ([]table.Row, int, error) {
-	bufs := make([][]table.Row, w)
-	pairsBy := make([]int, w)
-	err := run(left.Count(), w, func(worker, lo, hi int) error {
-		res := rebindResiduals(residuals, outSchema)
-		scratch := make(table.Row, len(outSchema.Cols))
-		var out []table.Row
-		for _, lrow := range left.Rows[lo:hi] {
-			copy(scratch, lrow)
-			for _, rrow := range right.Rows {
-				pairsBy[worker]++
-				copy(scratch[len(lrow):], rrow)
-				if !passResiduals(scratch, res) {
-					// Even rejected pairs consume work; poll the deadline
-					// with a zero charge, as the serial loop does.
-					if err := budget.Charge(0); err != nil {
-						bufs[worker] = out
-						return err
-					}
-					continue
-				}
-				joined := make(table.Row, len(scratch))
-				copy(joined, scratch)
-				out = append(out, joined)
-				if err := budget.Charge(1); err != nil {
-					bufs[worker] = out
-					return err
-				}
-			}
-		}
-		bufs[worker] = out
-		return nil
-	})
-	pairs := 0
-	for _, p := range pairsBy {
-		pairs += p
-	}
-	return stitch(bufs), pairs, err
 }
 
 // sigmaSketches holds one worker's (or the merged) HLL per tracked term, in

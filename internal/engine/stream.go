@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"monsoon/internal/expr"
 	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
@@ -180,7 +179,7 @@ func (e *Exec) openLeaf(q *query.Query, n *plan.Node, budget *Budget, parent *ob
 	base := e.eng.Cat.MustGet(tbl).Renamed(alias)
 	sels := q.SelsAt(n.Leaf)
 	sp := e.opSpan(parent, obs.KScan, alias).SetStr("expr", key).SetNum("selections", float64(len(sels)))
-	it := &scanIter{e: e, sp: sp, key: key, base: base, sels: sels, budget: budget, slab: e.scanSlab()}
+	it := &scanIter{e: e, sp: sp, base: base, budget: budget, slab: e.scanSlab()}
 	if len(sels) > 0 {
 		bound, ok := bindSels(sels, base.Schema)
 		if !ok {
@@ -233,15 +232,13 @@ func (r *reuseIter) Close(error) {
 }
 
 // scanIter streams a base table, applying pushed-down selections slab by
-// slab. Large slabs fan out through parallelFilter with per-slab worker
+// slab. Large slabs fan out through runFilter with per-slab worker
 // counts; the span's "workers" attribute records the first fan-out (the
 // same count the materialized engine reported for the whole scan).
 type scanIter struct {
 	e      *Exec
 	sp     *obs.Span
-	key    string
 	base   *table.Relation
-	sels   []*query.SelPred
 	bound  []boundSel
 	budget *Budget
 	slab   int
@@ -269,39 +266,20 @@ func (s *scanIter) Next() ([]table.Row, error) {
 			}
 			return rows, nil
 		}
-		var out []table.Row
-		if w := s.e.workers(len(rows)); w > 1 {
+		w := s.e.workers(len(rows))
+		var run workerRunner
+		if w > 1 {
 			if !s.fanned {
 				s.fanned = true
 				s.sp.SetNum("workers", float64(w))
 			}
-			chunk := table.NewRelation(s.key, s.base.Schema, rows)
-			pout, err := parallelFilter(chunk, s.sels, s.budget, w, s.e.tracedRunner(s.sp))
-			s.kept += len(pout)
-			if err != nil {
-				s.fail = err
-				return nil, err
-			}
-			out = pout
-		} else {
-			out = make([]table.Row, 0, len(rows)/4+1)
-			for _, row := range rows {
-				keep := true
-				for _, b := range s.bound {
-					if !b.b.Eval(row).Equal(b.k) {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					out = append(out, row)
-					s.kept++
-					if err := s.budget.Charge(1); err != nil {
-						s.fail = err
-						return nil, err
-					}
-				}
-			}
+			run = s.e.tracedRunner(s.sp)
+		}
+		out, err := runFilter(s.bound, rows, s.budget, w, run)
+		s.kept += len(out)
+		if err != nil {
+			s.fail = err
+			return nil, err
 		}
 		if len(out) > 0 {
 			return out, nil
@@ -392,7 +370,8 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	}
 	outSchema := lschema.Concat(rschema)
 
-	// Everything else is residual, evaluated over the concatenated row.
+	// Everything else is residual, bound over the output schema and
+	// evaluated on each (left row, right row) pair in place.
 	var residuals []residual
 	for _, p := range newPreds {
 		if p == hashPred {
@@ -403,14 +382,14 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 		if !ok1 || !ok2 {
 			return fail(fmt.Errorf("engine: predicate %s not bindable at %s", p, n), left, right)
 		}
-		residuals = append(residuals, residual{lb: lb, rb: rb})
+		residuals = append(residuals, residual{lhs: lb, rhs: rb})
 	}
 	for _, s := range newSels {
 		sb, ok := s.T.Fn.Bind(outSchema)
 		if !ok {
 			return fail(fmt.Errorf("engine: selection %s not bindable at %s", s, n), left, right)
 		}
-		residuals = append(residuals, residual{sb: sb, k: s.Const})
+		residuals = append(residuals, residual{lhs: sb, k: s.Const})
 	}
 
 	// Pipeline breaker: drain the right child in full. Hash builds need
@@ -439,10 +418,8 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 
 	if hashPred == nil {
 		sp := e.Obs.StartChild(jsp, obs.KNestedLoop, n.Key()).SetNum("residuals", float64(len(residuals)))
-		return &nestedLoopIter{
-			e: e, jsp: jsp, sp: sp, left: left, inner: buildRel, name: n.Key(),
-			outerSchema: lschema, residuals: residuals, outSchema: outSchema, budget: budget,
-		}, outSchema, nil
+		k := &pairKernel{inner: buildRel.Rows, res: residuals, budget: budget}
+		return &joinIter{e: e, jsp: jsp, sp: sp, left: left, k: k}, outSchema, nil
 	}
 
 	bb, ok := buildTerm.Fn.Bind(buildRel.Schema)
@@ -545,224 +522,8 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	}
 	bsp.SetRows(buildRel.Count(), inserted).SetNum("residuals", float64(len(residuals))).End()
 	psp := e.Obs.StartChild(jsp, obs.KHashProbe, n.Key())
-	return &hashJoinIter{
-		e: e, jsp: jsp, psp: psp, left: left, buildRel: buildRel, ht: ht,
-		pb: pb, probeTerm: probeTerm, probeSchema: lschema, residuals: residuals,
-		outSchema: outSchema, budget: budget, name: n.Key(),
-	}, outSchema, nil
-}
-
-// hashJoinIter probes the prebuilt hash table with each batch pulled from
-// the left child. Output order is probe-major over the stream, identical at
-// every batch size because each output batch is the probe of exactly one
-// input batch, in input order. NULL keys never match.
-type hashJoinIter struct {
-	e           *Exec
-	jsp, psp    *obs.Span
-	left        rowIter
-	buildRel    *table.Relation
-	ht          *shardedTable
-	pb          *expr.Binding
-	probeTerm   *query.Term
-	probeSchema *table.Schema
-	residuals   []residual
-	outSchema   *table.Schema
-	budget      *Budget
-	name        string
-	scratch     table.Row
-	probed      int
-	emitted     int
-	fanned      bool
-	fail        error
-	closed      bool
-}
-
-func (h *hashJoinIter) Next() ([]table.Row, error) {
-	for {
-		batch, err := h.left.Next()
-		if err != nil {
-			h.fail = err
-			return nil, err
-		}
-		if batch == nil {
-			return nil, nil
-		}
-		h.probed += len(batch)
-		var out []table.Row
-		if w := h.e.workers(len(batch)); w > 1 {
-			if !h.fanned {
-				h.fanned = true
-				h.psp.SetNum("workers", float64(w))
-			}
-			probeRel := table.NewRelation(h.name, h.probeSchema, batch)
-			pout, perr := parallelProbe(h.buildRel, probeRel, h.ht, h.probeTerm,
-				h.residuals, h.outSchema, false, h.budget, w, h.e.tracedRunner(h.psp))
-			h.emitted += len(pout)
-			if perr != nil {
-				h.fail = perr
-				return nil, perr
-			}
-			out = pout
-		} else {
-			if h.scratch == nil {
-				h.scratch = make(table.Row, len(h.outSchema.Cols))
-			}
-			for _, prow := range batch {
-				// Matchless probes produce nothing; poll the deadline anyway.
-				if err := h.budget.Charge(0); err != nil {
-					h.fail = err
-					return nil, err
-				}
-				k := h.pb.Eval(prow)
-				if k.IsNull() {
-					continue
-				}
-				for _, b := range h.ht.chains(k.Hash()) {
-					if !b.key.Equal(k) {
-						continue
-					}
-					for _, bi := range b.rows {
-						brow := h.buildRel.Rows[bi]
-						copy(h.scratch, prow)
-						copy(h.scratch[len(prow):], brow)
-						if !passResiduals(h.scratch, h.residuals) {
-							continue
-						}
-						joined := make(table.Row, len(h.scratch))
-						copy(joined, h.scratch)
-						out = append(out, joined)
-						h.emitted++
-						if err := h.budget.Charge(1); err != nil {
-							h.fail = err
-							return nil, err
-						}
-					}
-				}
-			}
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-}
-
-func (h *hashJoinIter) Close(err error) {
-	if h.closed {
-		return
-	}
-	h.closed = true
-	h.left.Close(err)
-	if h.fail != nil {
-		h.psp.SetRows(h.probed, h.emitted).SetStr("err", h.fail.Error()).End()
-		h.jsp.SetStr("err", h.fail.Error()).End()
-		return
-	}
-	h.psp.SetRows(h.probed, h.emitted).SetProduced(float64(h.emitted)).End()
-	h.jsp.SetRows(0, h.emitted).End()
-}
-
-// nestedLoopIter computes the filtered product of each left batch with the
-// fully drained inner side; it is the only strategy when no predicate
-// separates the children. Its span reports rows-in as the number of row
-// pairs scanned, accumulated across batches. Worker sizing mirrors the
-// materialized operator — pairs scanned, capped by the outer rows available
-// in the batch.
-type nestedLoopIter struct {
-	e           *Exec
-	jsp, sp     *obs.Span
-	left        rowIter
-	inner       *table.Relation
-	name        string
-	outerSchema *table.Schema
-	residuals   []residual
-	outSchema   *table.Schema
-	budget      *Budget
-	scratch     table.Row
-	pairs       int
-	emitted     int
-	fanned      bool
-	fail        error
-	closed      bool
-}
-
-func (nl *nestedLoopIter) Next() ([]table.Row, error) {
-	for {
-		batch, err := nl.left.Next()
-		if err != nil {
-			nl.fail = err
-			return nil, err
-		}
-		if batch == nil {
-			return nil, nil
-		}
-		var out []table.Row
-		w := nl.e.workers(len(batch) * nl.inner.Count())
-		if w > len(batch) {
-			w = len(batch)
-		}
-		if w > 1 {
-			if !nl.fanned {
-				nl.fanned = true
-				nl.sp.SetNum("workers", float64(w))
-			}
-			outer := table.NewRelation(nl.name, nl.outerSchema, batch)
-			pout, pairs, perr := parallelNestedLoop(outer, nl.inner, nl.residuals,
-				nl.outSchema, nl.budget, w, nl.e.tracedRunner(nl.sp))
-			nl.pairs += pairs
-			nl.emitted += len(pout)
-			if perr != nil {
-				nl.fail = perr
-				return nil, perr
-			}
-			out = pout
-		} else {
-			if nl.scratch == nil {
-				nl.scratch = make(table.Row, len(nl.outSchema.Cols))
-			}
-			for _, lrow := range batch {
-				copy(nl.scratch, lrow)
-				for _, rrow := range nl.inner.Rows {
-					nl.pairs++
-					copy(nl.scratch[len(lrow):], rrow)
-					if !passResiduals(nl.scratch, nl.residuals) {
-						// Even rejected pairs consume work; poll the deadline
-						// occasionally via a zero charge.
-						if err := nl.budget.Charge(0); err != nil {
-							nl.fail = err
-							return nil, err
-						}
-						continue
-					}
-					joined := make(table.Row, len(nl.scratch))
-					copy(joined, nl.scratch)
-					out = append(out, joined)
-					nl.emitted++
-					if err := nl.budget.Charge(1); err != nil {
-						nl.fail = err
-						return nil, err
-					}
-				}
-			}
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-}
-
-func (nl *nestedLoopIter) Close(err error) {
-	if nl.closed {
-		return
-	}
-	nl.closed = true
-	nl.left.Close(err)
-	if nl.fail != nil {
-		nl.sp.SetRows(nl.pairs, nl.emitted).SetStr("err", nl.fail.Error()).End()
-		nl.jsp.SetStr("err", nl.fail.Error()).End()
-		return
-	}
-	nl.sp.SetRows(nl.pairs, nl.emitted).SetProduced(float64(nl.emitted)).End()
-	nl.jsp.SetRows(0, nl.emitted).End()
+	k := &pairKernel{inner: buildRel.Rows, ht: ht, pb: pb, res: residuals, budget: budget}
+	return &joinIter{e: e, jsp: jsp, sp: psp, left: left, k: k}, outSchema, nil
 }
 
 // coPartitioned reports whether a join's build child is served directly by
@@ -792,9 +553,7 @@ func (e *Exec) coPartitioned(q *query.Query, n *plan.Node, buildTerm *query.Term
 		return false
 	}
 	base := e.eng.Cat.MustGet(tbl)
-	fn := buildTerm.Fn
-	return fn.Name == "id" && len(fn.Args) == 1 &&
-		fn.Args[0] == alias+"."+base.Schema.Cols[0].Name
+	return buildTerm.Fn.IsIdentity() && buildTerm.Fn.Args[0] == alias+"."+base.Schema.Cols[0].Name
 }
 
 // openShard opens a co-partitioned build leaf as a shard-local scan,
@@ -883,7 +642,7 @@ func (e *Exec) openShardLeaf(q *query.Query, n *plan.Node, budget *Budget, paren
 	sels := q.SelsAt(n.Leaf)
 	sp := e.opSpan(parent, obs.KScan, alias).SetStr("expr", key).
 		SetNum("selections", float64(len(sels))).SetNum("shards", float64(sh.NumShards()))
-	it := &shardScanIter{e: e, sp: sp, key: key, base: base, sh: sh, sels: sels, budget: budget, slab: e.scanSlab()}
+	it := &shardScanIter{e: e, sp: sp, base: base, sh: sh, budget: budget, slab: e.scanSlab()}
 	if len(sels) > 0 {
 		bound, ok := bindSels(sels, base.Schema)
 		if !ok {
@@ -905,10 +664,8 @@ func (e *Exec) openShardLeaf(q *query.Query, n *plan.Node, budget *Budget, paren
 type shardScanIter struct {
 	e      *Exec
 	sp     *obs.Span
-	key    string
 	base   *table.Relation // renamed view: schema under the query alias
 	sh     *table.Sharded
-	sels   []*query.SelPred
 	bound  []boundSel
 	budget *Budget
 	slab   int
@@ -970,41 +727,21 @@ func (s *shardScanIter) Next() ([]table.Row, error) {
 			}
 			return rows, nil
 		}
-		var out []table.Row
-		if w := s.e.workers(len(rows)); w > 1 {
+		w := s.e.workers(len(rows))
+		var run workerRunner
+		if w > 1 {
 			if !s.fanned {
 				s.fanned = true
 				s.sp.SetNum("workers", float64(w))
 			}
-			chunk := table.NewRelation(s.key, s.base.Schema, rows)
-			pout, err := parallelFilter(chunk, s.sels, s.budget, w, s.e.tracedRunner(s.cur))
-			s.kept += len(pout)
-			s.curKept += len(pout)
-			if err != nil {
-				s.fail = err
-				return nil, err
-			}
-			out = pout
-		} else {
-			out = make([]table.Row, 0, len(rows)/4+1)
-			for _, row := range rows {
-				keep := true
-				for _, b := range s.bound {
-					if !b.b.Eval(row).Equal(b.k) {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					out = append(out, row)
-					s.kept++
-					s.curKept++
-					if err := s.budget.Charge(1); err != nil {
-						s.fail = err
-						return nil, err
-					}
-				}
-			}
+			run = s.e.tracedRunner(s.cur)
+		}
+		out, err := runFilter(s.bound, rows, s.budget, w, run)
+		s.kept += len(out)
+		s.curKept += len(out)
+		if err != nil {
+			s.fail = err
+			return nil, err
 		}
 		if len(out) > 0 {
 			return out, nil

@@ -26,7 +26,16 @@ type UDF struct {
 	Args []string
 	// Fn is the opaque implementation.
 	Fn func(args []value.Value) value.Value
+
+	// identity marks the UDFs built by Identity, whose bindings read the
+	// column directly instead of calling Fn.
+	identity bool
 }
+
+// IsIdentity reports whether u was built by Identity: a plain projection of
+// its single argument. A caller-supplied function is never an identity, even
+// one named "id".
+func (u *UDF) IsIdentity() bool { return u.identity }
 
 // Aliases returns the sorted set of aliases referenced by the UDF's
 // arguments. A UDF with more than one alias is a multi-table UDF: its
@@ -50,7 +59,8 @@ func (u *UDF) Aliases() []string {
 }
 
 // Binding caches the column positions of the UDF's arguments in one schema so
-// repeated evaluation avoids map lookups per row.
+// repeated evaluation avoids map lookups per row. A Binding owns a scratch
+// argument slice, so each goroutine needs its own (see Clone).
 type Binding struct {
 	udf  *UDF
 	pos  []int
@@ -71,6 +81,12 @@ func (u *UDF) Bind(s *table.Schema) (*Binding, bool) {
 	return &Binding{udf: u, pos: pos, args: make([]value.Value, len(pos))}, true
 }
 
+// Clone returns a binding over the same schema positions with its own
+// scratch space, for use on another goroutine.
+func (b *Binding) Clone() *Binding {
+	return &Binding{udf: b.udf, pos: b.pos, args: make([]value.Value, len(b.pos))}
+}
+
 // Evaluable reports whether all the UDF's arguments are present in s.
 func (u *UDF) Evaluable(s *table.Schema) bool {
 	for _, a := range u.Args {
@@ -83,11 +99,37 @@ func (u *UDF) Evaluable(s *table.Schema) bool {
 
 // Eval applies the UDF to one row. The returned value may alias the binding's
 // scratch space only if the UDF itself retains it, which library UDFs do not.
+// An identity returns the column value without calling Fn.
 func (b *Binding) Eval(row table.Row) value.Value {
+	if b.udf.identity {
+		return row[b.pos[0]]
+	}
 	for i, p := range b.pos {
 		b.args[i] = row[p]
 	}
 	return b.udf.Fn(b.args)
+}
+
+// EvalPair applies the UDF to the concatenation l ++ r without building it:
+// the binding's schema is a join's output schema, and argument position p
+// reads l[p] when p < len(l) and r[p-len(l)] otherwise. It returns exactly
+// what Eval would on the concatenated row.
+func (b *Binding) EvalPair(l, r table.Row) value.Value {
+	if b.udf.identity {
+		return pick(l, r, b.pos[0])
+	}
+	for i, p := range b.pos {
+		b.args[i] = pick(l, r, p)
+	}
+	return b.udf.Fn(b.args)
+}
+
+// pick reads position p of the row l ++ r.
+func pick(l, r table.Row, p int) value.Value {
+	if p < len(l) {
+		return l[p]
+	}
+	return r[p-len(l)]
 }
 
 // UDF returns the bound function.
@@ -107,7 +149,7 @@ func (u *UDF) Rebase(mapping map[string]string) *UDF {
 		}
 		args[i] = alias + "." + col
 	}
-	return &UDF{Name: u.Name, Args: args, Fn: u.Fn}
+	return &UDF{Name: u.Name, Args: args, Fn: u.Fn, identity: u.identity}
 }
 
 // String renders the UDF as F(args...) for plans and logs.

@@ -19,9 +19,10 @@ import (
 // statistics-rich systems simply pre-seed the statistics store for them.
 func Identity(attr string) *UDF {
 	return &UDF{
-		Name: "id",
-		Args: []string{attr},
-		Fn:   func(args []value.Value) value.Value { return args[0] },
+		Name:     "id",
+		Args:     []string{attr},
+		Fn:       func(args []value.Value) value.Value { return args[0] },
+		identity: true,
 	}
 }
 
@@ -96,8 +97,12 @@ func Between(attr, after, before string) *UDF {
 }
 
 // HashMod maps an integer attribute into b buckets; a cheap surrogate for the
-// "opaque transformation" UDFs in the TPC-H part of the UDF benchmark.
+// "opaque transformation" UDFs in the TPC-H part of the UDF benchmark. It
+// panics if b ≤ 0.
 func HashMod(attr string, b int64) *UDF {
+	if b <= 0 {
+		panic(fmt.Sprintf("expr: HashMod(%s, %d): bucket count must be positive", attr, b))
+	}
 	return &UDF{
 		Name: "HashMod" + strconv.FormatInt(b, 10),
 		Args: []string{attr},
@@ -122,8 +127,11 @@ func Lower(attr string) *UDF {
 	}
 }
 
-// Prefix truncates a string attribute to n bytes.
+// Prefix truncates a string attribute to n bytes. It panics if n < 0.
 func Prefix(attr string, n int) *UDF {
+	if n < 0 {
+		panic(fmt.Sprintf("expr: Prefix(%s, %d): length must not be negative", attr, n))
+	}
 	return &UDF{
 		Name: "Prefix" + strconv.Itoa(n),
 		Args: []string{attr},
@@ -175,8 +183,11 @@ func SetEqualsKey(attr string) *UDF {
 // SumMod is a multi-table UDF combining integer attributes from two aliases:
 // (a + b) mod m. It appears in the UDF benchmark's hardest queries, where no
 // statistic exists until the cross product or join of the two aliases is
-// materialized.
+// materialized. It panics if m ≤ 0.
 func SumMod(attrA, attrB string, m int64) *UDF {
+	if m <= 0 {
+		panic(fmt.Sprintf("expr: SumMod(%s, %s, %d): modulus must be positive", attrA, attrB, m))
+	}
 	return &UDF{
 		Name: "SumMod" + strconv.FormatInt(m, 10),
 		Args: []string{attrA, attrB},

@@ -35,28 +35,36 @@ func (r *Registry) Lookup(name string) (UDFFactory, bool) {
 
 func nArgs(name string, wantAttrs, wantConsts int, f func([]string, []value.Value) *expr.UDF) UDFFactory {
 	return func(attrs []string, consts []value.Value) (*expr.UDF, error) {
-		if len(attrs) != wantAttrs || len(consts) != wantConsts {
-			return nil, fmt.Errorf("sqlish: %s expects %d attribute and %d literal arguments, got %d and %d",
-				name, wantAttrs, wantConsts, len(attrs), len(consts))
+		if err := arity(name, wantAttrs, wantConsts, attrs, consts); err != nil {
+			return nil, err
 		}
 		return f(attrs, consts), nil
 	}
 }
 
-// minConst wraps a factory whose one literal argument must be at least min:
-// HashMod's bucket count and SumMod's modulus divide at evaluation time and
-// Prefix's length slices, so an out-of-range constant is a parse error here
-// rather than a failure in the middle of a query.
-func minConst(name, what string, min int64, f UDFFactory) UDFFactory {
+func arity(name string, wantAttrs, wantConsts int, attrs []string, consts []value.Value) error {
+	if len(attrs) != wantAttrs || len(consts) != wantConsts {
+		return fmt.Errorf("sqlish: %s expects %d attribute and %d literal arguments, got %d and %d",
+			name, wantAttrs, wantConsts, len(attrs), len(consts))
+	}
+	return nil
+}
+
+// minConst is nArgs for a factory with one literal argument that must be at
+// least min: HashMod's bucket count and SumMod's modulus divide at
+// evaluation time and Prefix's length slices, so an out-of-range constant is
+// a parse error here rather than a failure in the middle of a query. The
+// constant is checked before the UDF is built, because the library
+// constructors panic on it.
+func minConst(name, what string, min int64, wantAttrs int, f func([]string, []value.Value) *expr.UDF) UDFFactory {
 	return func(attrs []string, consts []value.Value) (*expr.UDF, error) {
-		fn, err := f(attrs, consts)
-		if err != nil {
+		if err := arity(name, wantAttrs, 1, attrs, consts); err != nil {
 			return nil, err
 		}
 		if c := consts[0]; c.Kind() != value.KindInt || c.AsInt() < min {
 			return nil, fmt.Errorf("sqlish: %s %s must be an integer ≥ %d, got %s", name, what, min, c)
 		}
-		return fn, nil
+		return f(attrs, consts), nil
 	}
 }
 
@@ -79,12 +87,12 @@ func NewRegistry() *Registry {
 	r.Register("SetKey", nArgs("SetKey", 1, 0, func(a []string, _ []value.Value) *expr.UDF {
 		return expr.SetEqualsKey(a[0])
 	}))
-	r.Register("Prefix", minConst("Prefix", "length", 0, nArgs("Prefix", 1, 1, func(a []string, c []value.Value) *expr.UDF {
+	r.Register("Prefix", minConst("Prefix", "length", 0, 1, func(a []string, c []value.Value) *expr.UDF {
 		return expr.Prefix(a[0], int(c[0].AsInt()))
-	})))
-	r.Register("HashMod", minConst("HashMod", "bucket count", 1, nArgs("HashMod", 1, 1, func(a []string, c []value.Value) *expr.UDF {
+	}))
+	r.Register("HashMod", minConst("HashMod", "bucket count", 1, 1, func(a []string, c []value.Value) *expr.UDF {
 		return expr.HashMod(a[0], c[0].AsInt())
-	})))
+	}))
 	r.Register("Sprintf", nArgs("Sprintf", 1, 1, func(a []string, c []value.Value) *expr.UDF {
 		return expr.Sprintf(a[0], c[0].AsString())
 	}))
@@ -94,9 +102,9 @@ func NewRegistry() *Registry {
 	r.Register("ConcatKey", nArgs("ConcatKey", 2, 0, func(a []string, _ []value.Value) *expr.UDF {
 		return expr.ConcatKey(a[0], a[1])
 	}))
-	r.Register("SumMod", minConst("SumMod", "modulus", 1, nArgs("SumMod", 2, 1, func(a []string, c []value.Value) *expr.UDF {
+	r.Register("SumMod", minConst("SumMod", "modulus", 1, 2, func(a []string, c []value.Value) *expr.UDF {
 		return expr.SumMod(a[0], a[1], c[0].AsInt())
-	})))
+	}))
 	return r
 }
 

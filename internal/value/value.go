@@ -1,17 +1,16 @@
 // Package value defines the scalar value model shared by the storage layer,
-// the expression evaluator, and the statistics subsystem. A Value is a small
-// tagged union; it is passed by value everywhere and never aliases mutable
-// state, except for list values whose backing slice must not be mutated after
-// construction.
+// the expression evaluator, and the statistics subsystem. A Value is a
+// 32-byte tagged union; it is passed by value everywhere and never aliases
+// mutable state.
 package value
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the runtime type of a Value.
@@ -49,12 +48,18 @@ func (k Kind) String() string {
 
 // Value is a tagged union of the scalar types understood by the engine.
 // The zero Value is SQL NULL.
+//
+// The layout is one payload word plus one string header, 32 bytes in all,
+// because rows are slices of Values and the executor copies them by the
+// million. n holds an int or bool payload, or a float's IEEE bits. s holds
+// a string's bytes, or an IntList's sorted members as the raw bytes of an
+// []int64: a string is immutable and compares and hashes by content, so two
+// separately built equal Values stay reflect.DeepEqual, which an
+// unsafe.Pointer field would not give.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
-	l    []int64
 }
 
 // Null returns the NULL value.
@@ -62,18 +67,18 @@ func Null() Value { return Value{} }
 
 // Bool wraps a bool.
 func Bool(b bool) Value {
-	var i int64
+	var n uint64
 	if b {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // Int wraps an int64.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float wraps a float64.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // String wraps a string.
 func String(s string) Value { return Value{kind: KindString, s: s} }
@@ -91,8 +96,18 @@ func IntList(xs []int64) Value {
 			out = append(out, x)
 		}
 	}
-	return Value{kind: KindIntList, l: out}
+	// The string aliases out's backing array, which nothing else references
+	// and which is 8-byte aligned, so AsIntList can view it as []int64.
+	return Value{kind: KindIntList, s: unsafe.String((*byte)(unsafe.Pointer(unsafe.SliceData(out))), len(out)*8)}
 }
+
+// emptyList is what AsIntList returns for an empty list: empty but non-nil,
+// so callers can tell it from a non-list.
+var emptyList = []int64{}
+
+// i and f view the numeric payload word.
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
 
 // Kind reports the runtime kind of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -101,16 +116,16 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsBool returns the boolean payload; it is false for non-bool values.
-func (v Value) AsBool() bool { return v.kind == KindBool && v.i != 0 }
+func (v Value) AsBool() bool { return v.kind == KindBool && v.n != 0 }
 
 // AsInt returns the integer payload, coercing floats by truncation and
 // parsing numeric strings; non-numeric values yield 0.
 func (v Value) AsInt() int64 {
 	switch v.kind {
 	case KindInt, KindBool:
-		return v.i
+		return v.i()
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.f())
 	case KindString:
 		n, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 		if err != nil {
@@ -126,9 +141,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindInt, KindBool:
-		return float64(v.i)
+		return float64(v.i())
 	case KindString:
 		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 		if err != nil {
@@ -155,7 +170,10 @@ func (v Value) AsIntList() []int64 {
 	if v.kind != KindIntList {
 		return nil
 	}
-	return v.l
+	if len(v.s) == 0 {
+		return emptyList
+	}
+	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.StringData(v.s))), len(v.s)/8)
 }
 
 // String renders the value for display and for use as a grouping key.
@@ -164,20 +182,20 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindIntList:
 		var sb strings.Builder
 		sb.WriteByte('[')
-		for i, x := range v.l {
+		for i, x := range v.AsIntList() {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -205,21 +223,12 @@ func (v Value) Equal(o Value) bool {
 	}
 	switch v.kind {
 	case KindBool, KindInt:
-		return v.i == o.i
+		return v.n == o.n
 	case KindFloat:
-		return v.f == o.f
-	case KindString:
+		return v.f() == o.f()
+	case KindString, KindIntList:
+		// Lists hold their members' bytes, so equal bytes are equal lists.
 		return v.s == o.s
-	case KindIntList:
-		if len(v.l) != len(o.l) {
-			return false
-		}
-		for i := range v.l {
-			if v.l[i] != o.l[i] {
-				return false
-			}
-		}
-		return true
 	default:
 		return false
 	}
@@ -238,22 +247,20 @@ func (v Value) Less(o Value) bool {
 	case KindNull:
 		return false
 	case KindBool, KindInt:
-		return v.i < o.i
+		return v.i() < o.i()
 	case KindFloat:
-		return v.f < o.f
+		return v.f() < o.f()
 	case KindString:
 		return v.s < o.s
 	case KindIntList:
-		n := len(v.l)
-		if len(o.l) < n {
-			n = len(o.l)
-		}
+		a, b := v.AsIntList(), o.AsIntList()
+		n := min(len(a), len(b))
 		for i := 0; i < n; i++ {
-			if v.l[i] != o.l[i] {
-				return v.l[i] < o.l[i]
+			if a[i] != b[i] {
+				return a[i] < b[i]
 			}
 		}
-		return len(v.l) < len(o.l)
+		return len(a) < len(b)
 	default:
 		return false
 	}
@@ -261,51 +268,48 @@ func (v Value) Less(o Value) bool {
 
 func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat || k == KindBool }
 
-// Hash returns a 64-bit hash of the value, suitable for hash joins and
-// sketches. Numerically equal ints and floats hash identically.
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
-	switch v.kind {
-	case KindNull:
-		buf[0] = 0
-		h.Write(buf[:1])
-	case KindBool, KindInt:
-		buf[0] = 2
-		putU64(buf[1:], uint64(v.i))
-		h.Write(buf[:9])
-	case KindFloat:
-		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
-			buf[0] = 2
-			putU64(buf[1:], uint64(int64(v.f)))
-		} else {
-			buf[0] = 3
-			putU64(buf[1:], math.Float64bits(v.f))
-		}
-		h.Write(buf[:9])
-	case KindString:
-		buf[0] = 4
-		h.Write(buf[:1])
-		h.Write([]byte(v.s))
-	case KindIntList:
-		buf[0] = 5
-		h.Write(buf[:1])
-		for _, x := range v.l {
-			putU64(buf[:8], uint64(x))
-			h.Write(buf[:8])
-		}
+// FNV-1a, 64-bit, written out so hashing a value allocates nothing.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
+
+func fnvU64(h, x uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(x>>(8*i)))
 	}
-	return h.Sum64()
+	return h
 }
 
-func putU64(b []byte, x uint64) {
-	_ = b[7]
-	b[0] = byte(x)
-	b[1] = byte(x >> 8)
-	b[2] = byte(x >> 16)
-	b[3] = byte(x >> 24)
-	b[4] = byte(x >> 32)
-	b[5] = byte(x >> 40)
-	b[6] = byte(x >> 48)
-	b[7] = byte(x >> 56)
+// Hash returns a 64-bit hash of the value, suitable for hash joins and
+// sketches. Numerically equal ints and floats hash identically. It is the
+// FNV-1a hash of a kind tag followed by the payload in little-endian order;
+// shard routing and sketches depend on these exact values.
+func (v Value) Hash() uint64 {
+	h := uint64(fnvOffset)
+	switch v.kind {
+	case KindNull:
+		h = fnvByte(h, 0)
+	case KindBool, KindInt:
+		h = fnvU64(fnvByte(h, 2), v.n)
+	case KindFloat:
+		if f := v.f(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+			h = fnvU64(fnvByte(h, 2), uint64(int64(f)))
+		} else {
+			h = fnvU64(fnvByte(h, 3), v.n)
+		}
+	case KindString:
+		h = fnvByte(h, 4)
+		for i := 0; i < len(v.s); i++ {
+			h = fnvByte(h, v.s[i])
+		}
+	case KindIntList:
+		h = fnvByte(h, 5)
+		for _, x := range v.AsIntList() {
+			h = fnvU64(h, uint64(x))
+		}
+	}
+	return h
 }
