@@ -1,10 +1,12 @@
 package monsoon
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"time"
 
+	"monsoon/internal/bench/ott"
 	"monsoon/internal/bench/tpch"
 	"monsoon/internal/core"
 	"monsoon/internal/engine"
@@ -219,6 +221,38 @@ func BenchmarkLargeJoinParallel(b *testing.B) { benchLargeJoin(b, 0) }
 // -benchmem, or see the `monsoon-bench -exp memory` study in EXPERIMENTS.md.
 func BenchmarkExecStreaming(b *testing.B)    { benchLargeJoinAt(b, 1, 4096) }
 func BenchmarkExecMaterialized(b *testing.B) { benchLargeJoinAt(b, 1, -1) }
+
+// benchOTTEmptyPair times the first join of the correlated torture test
+// ott-q01 at the tiny scale: orders ⋈ lineitem on the pair x = x AND y = y,
+// which no row pair satisfies; orders probes and lineitem builds. Both
+// predicates are parts of the hash key, so
+// the probe rejects every lineitem row on its slot hash alone.
+func benchOTTEmptyPair(b *testing.B, parallelism int) {
+	cat := ott.Generate(ott.Config{ScaleFactor: harness.Tiny().OTTSF, Seed: harness.Tiny().Seed})
+	c := ott.Queries()[0]
+	q, tree := c.Query, c.Best.Left // the hand-written plan joins the pair first
+	eng := engine.New(cat)
+	eng.Parallelism = parallelism
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rel, _, err := eng.ExecTree(q, tree, &engine.Budget{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rel.Count() != 0 {
+			b.Fatalf("the empty pair produced %d rows", rel.Count())
+		}
+	}
+}
+
+// BenchmarkOTTEmptyPairJoin runs the empty pair serially (workers=1) and at
+// the machine width (workers=0).
+func BenchmarkOTTEmptyPairJoin(b *testing.B) {
+	for _, w := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { benchOTTEmptyPair(b, w) })
+	}
+}
 
 // benchPlanPhase measures the cold-cache plan phase alone on the small
 // campaign's TPC-H workload (the suite recorded in campaign_small.txt): every

@@ -454,6 +454,11 @@ func (s *Server) run(q *query.Query, eng *engine.Engine, req QueryRequest) (*Que
 	}
 	start := time.Now()
 	res, err := core.Run(q, eng, budget, cfg)
+	if err == nil {
+		// The engine polls the deadline every thousand tuples or so; a query
+		// that finished past it between two polls is still late.
+		err = budget.Check()
+	}
 	elapsed := time.Since(start)
 	s.reg.Histogram("monsoond.query.time").ObserveDuration(elapsed)
 	resp := &QueryResponse{

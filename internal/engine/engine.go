@@ -57,19 +57,44 @@ func (b *Budget) Charge(n int) error {
 	if b == nil {
 		return nil
 	}
-	p := b.produced.Add(int64(n))
-	if b.MaxTuples > 0 && float64(p) > b.MaxTuples {
-		return ErrBudget
+	if err := b.add(n); err != nil {
+		return err
 	}
 	inc := int64(n)
 	if inc < 1 {
 		inc = 1
 	}
-	if b.checkCtr.Add(inc) >= 1024 {
+	if b.checkCtr.Add(inc) >= meterStride {
 		b.checkCtr.Store(0)
 		if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
 			return ErrBudget
 		}
+	}
+	return nil
+}
+
+// add charges n tuples and reports ErrBudget when the tuple bound is
+// exceeded; unlike Charge it never reads the clock.
+func (b *Budget) add(n int) error {
+	if p := b.produced.Add(int64(n)); b.MaxTuples > 0 && float64(p) > b.MaxTuples {
+		return ErrBudget
+	}
+	return nil
+}
+
+// Check reports ErrBudget when the deadline has passed or the tuples charged
+// so far, by any goroutine, exceed the bound. Execution polls it between
+// tuples; a caller whose deadline covers more than execution checks it once
+// more at the end.
+func (b *Budget) Check() error {
+	if b == nil {
+		return nil
+	}
+	if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
+		return ErrBudget
+	}
+	if b.MaxTuples > 0 && float64(b.produced.Load()) > b.MaxTuples {
+		return ErrBudget
 	}
 	return nil
 }
@@ -80,6 +105,50 @@ func (b *Budget) Produced() float64 {
 		return 0
 	}
 	return float64(b.produced.Load())
+}
+
+// meterStride is how many polls or charged tuples a meter lets pass between
+// two reads of the clock.
+const meterStride = 1024
+
+// meter is one goroutine's handle on a shared Budget, owned by a loop that
+// charges or polls per row: a kernel clone, a build worker, a filter, a Σ
+// worker. Charges still go to the shared counter atomically, so the tuple
+// bound trips at the same tuple as with Charge; but the deadline countdown is
+// private, so a matchless probe or a build touches no shared cache line. The
+// first use reads the clock, then every meterStride-th.
+type meter struct {
+	b    *Budget
+	left int
+}
+
+// charge accounts n produced tuples.
+func (m *meter) charge(n int) error {
+	if m.b == nil {
+		return nil
+	}
+	if err := m.b.add(n); err != nil {
+		return err
+	}
+	return m.tick(n)
+}
+
+// poll is a zero charge: work that produced nothing still honors the
+// deadline, and notices a bound another worker tripped.
+func (m *meter) poll() error {
+	if m.b == nil {
+		return nil
+	}
+	return m.tick(1)
+}
+
+func (m *meter) tick(n int) error {
+	m.left -= n
+	if m.left > 0 {
+		return nil
+	}
+	m.left = meterStride
+	return m.b.Check()
 }
 
 // SigmaObs is one distinct-value measurement produced by a Σ operator.
@@ -301,67 +370,6 @@ type boundSel struct {
 	k value.Value
 }
 
-// bucket chains the build rows of one join-key value; hashTable maps key
-// hashes to their (collision-chained) buckets. After the build phase the
-// table is read-only, so probe workers share it without locks.
-type bucket struct {
-	key  value.Value
-	rows []int
-}
-
-type hashTable map[uint64][]bucket
-
-// insert chains build-row index i under key k: the key's bucket if one
-// exists in the hash's collision chain, a fresh bucket appended otherwise.
-// Inserting rows in ascending index order yields chains in first-occurrence
-// order with ascending row lists — the invariant the partitioned parallel
-// build reproduces by merging per-worker sub-tables in worker order.
-func (ht hashTable) insert(k value.Value, i int) {
-	ht.insertHash(k.Hash(), k, i)
-}
-
-// insertHash is insert with the key hash already computed; the sharded
-// table computes it once for routing and reuses it for the chain lookup.
-func (ht hashTable) insertHash(h uint64, k value.Value, i int) {
-	bs := ht[h]
-	for bi := range bs {
-		if bs[bi].key.Equal(k) {
-			bs[bi].rows = append(bs[bi].rows, i)
-			return
-		}
-	}
-	ht[h] = append(bs, bucket{key: k, rows: []int{i}})
-}
-
-// shardedTable splits a hash-join build across S sub-tables routed by the
-// full key hash (subs[h%S]). Equal hashes always land in the same sub-table
-// and routing never reorders the insertion stream within a sub-table, so
-// collision chains keep the serial first-occurrence order with ascending
-// row lists; the probe side streams in its original order and routes each
-// key the same way, which makes join output bit-identical to the unsharded
-// build for any S. S == 1 is the legacy layout: subs[0] is the one table.
-type shardedTable struct {
-	subs []hashTable
-}
-
-func newShardedTable(s, sizeHint int) *shardedTable {
-	t := &shardedTable{subs: make([]hashTable, s)}
-	for i := range t.subs {
-		t.subs[i] = make(hashTable, sizeHint/s+1)
-	}
-	return t
-}
-
-func (t *shardedTable) insert(k value.Value, i int) {
-	h := k.Hash()
-	t.subs[h%uint64(len(t.subs))].insertHash(h, k, i)
-}
-
-// chains returns the collision chain for a probe key's hash.
-func (t *shardedTable) chains(h uint64) []bucket {
-	return t.subs[h%uint64(len(t.subs))][h]
-}
-
 // shardCount reports the catalog's shard layout width (1 = unsharded); the
 // exchange paths below key every behavior change off it so an unsharded
 // catalog takes exactly the legacy code paths.
@@ -418,7 +426,7 @@ func (e *Exec) collectSigma(q *query.Query, n *plan.Node, rel *table.Relation, b
 		for i, t := range ts {
 			terms[i] = t.term
 		}
-		merged, err := parallelSigma(rel, terms, p, budget, w, e.tracedRunner(sp))
+		merged, err := parallelSigma(rel, terms, p, budget, w, e.runner(obs.KSigma, sp))
 		if err != nil {
 			sp.SetRows(rel.Count(), 0).SetStr("err", err.Error()).End()
 			return err
@@ -427,8 +435,9 @@ func (e *Exec) collectSigma(q *query.Query, n *plan.Node, rel *table.Relation, b
 			ts[i].h = merged[i]
 		}
 	} else {
+		m := meter{b: budget}
 		for _, row := range rel.Rows {
-			if err := budget.Charge(1); err != nil {
+			if err := m.charge(1); err != nil {
 				sp.SetRows(rel.Count(), 0).SetStr("err", err.Error()).End()
 				return err
 			}

@@ -23,20 +23,24 @@ type residual struct {
 // Serial execution calls the body on this goroutine; each fan-out worker
 // calls the same body on its chunk through a clone with its own bindings.
 type pairKernel struct {
-	inner  []table.Row   // build rows (hash join) or the inner relation (nested loop)
-	ht     *shardedTable // nil for a nested loop
-	pb     *expr.Binding // probe key over the outer schema (hash join only)
-	res    []residual
-	budget *Budget
+	inner []table.Row     // build rows (hash join) or the inner relation (nested loop)
+	ht    *joinTable      // nil for a nested loop
+	pb    []*expr.Binding // probe key parts over the outer schema (hash join only)
+	key   []value.Value   // scratch: the probe key of the current outer row
+	res   []residual
+	m     meter
 }
 
-// clone gives a fan-out worker private bindings; the rows and the hash table
-// are read-only and shared.
+// clone gives a fan-out worker private bindings, scratch and deadline
+// countdown; the rows and the hash table are read-only and shared.
 func (k *pairKernel) clone() *pairKernel {
 	c := *k
-	if k.pb != nil {
-		c.pb = k.pb.Clone()
+	c.m = meter{b: k.m.b}
+	c.pb = make([]*expr.Binding, len(k.pb))
+	for i, b := range k.pb {
+		c.pb[i] = b.Clone()
 	}
+	c.key = make([]value.Value, len(k.key))
 	c.res = make([]residual, len(k.res))
 	for i, r := range k.res {
 		c.res[i] = residual{lhs: r.lhs.Clone(), k: r.k}
@@ -56,6 +60,14 @@ func (k *pairKernel) rowWork() int {
 	return len(k.inner)
 }
 
+// op names the operator the kernel runs, for its spans and errors.
+func (k *pairKernel) op() string {
+	if k.ht != nil {
+		return obs.KHashProbe
+	}
+	return obs.KNestedLoop
+}
+
 // loop joins a run of outer rows. It returns the joined rows in outer order
 // and the operator's rows-in count for the run: outer rows probed, or row
 // pairs scanned. On a budget error the rows emitted so far come back with it.
@@ -66,31 +78,41 @@ func (k *pairKernel) loop(outer []table.Row) ([]table.Row, int, error) {
 	return k.probe(outer)
 }
 
-// probe is the hash-join loop body. NULL keys never match.
+// probe is the hash-join loop body. A key with a NULL part never matches.
 func (k *pairKernel) probe(outer []table.Row) ([]table.Row, int, error) {
 	var out []table.Row
+	key := k.key
+outer:
 	for _, l := range outer {
 		// Matchless probes produce nothing; poll the deadline anyway.
-		if err := k.budget.Charge(0); err != nil {
+		if err := k.m.poll(); err != nil {
 			return out, len(outer), err
 		}
-		key := k.pb.Eval(l)
-		if key.IsNull() {
-			continue
+		var h1, h uint64
+		for j, b := range k.pb {
+			v := b.Eval(l)
+			if v.IsNull() {
+				continue outer
+			}
+			key[j] = v
+			if hv := v.Hash(); j == 0 {
+				h1, h = hv, hv
+			} else {
+				h = combine(h, hv)
+			}
 		}
-		for _, b := range k.ht.chains(key.Hash()) {
-			if !b.key.Equal(key) {
+		for r := k.ht.chain(h1, h); r != 0; r = k.ht.next[r-1] {
+			bi := int(r - 1)
+			if !k.ht.matches(bi, key) {
 				continue
 			}
-			for _, bi := range b.rows {
-				r := k.inner[bi]
-				if !k.pass(l, r) {
-					continue
-				}
-				out = append(out, joinRows(l, r))
-				if err := k.budget.Charge(1); err != nil {
-					return out, len(outer), err
-				}
+			row := k.inner[bi]
+			if !k.pass(l, row) {
+				continue
+			}
+			out = append(out, joinRows(l, row))
+			if err := k.m.charge(1); err != nil {
+				return out, len(outer), err
 			}
 		}
 	}
@@ -106,15 +128,14 @@ func (k *pairKernel) nestedLoop(outer []table.Row) ([]table.Row, int, error) {
 		for _, r := range k.inner {
 			pairs++
 			if !k.pass(l, r) {
-				// Even rejected pairs consume work; poll the deadline with a
-				// zero charge.
-				if err := k.budget.Charge(0); err != nil {
+				// Even rejected pairs consume work; poll the deadline.
+				if err := k.m.poll(); err != nil {
 					return out, pairs, err
 				}
 				continue
 			}
 			out = append(out, joinRows(l, r))
-			if err := k.budget.Charge(1); err != nil {
+			if err := k.m.charge(1); err != nil {
 				return out, pairs, err
 			}
 		}
@@ -201,7 +222,7 @@ func (j *joinIter) Next() ([]table.Row, error) {
 				j.fanned = true
 				j.sp.SetNum("workers", float64(w))
 			}
-			run = j.e.tracedRunner(j.sp)
+			run = j.e.runner(j.k.op(), j.sp)
 		}
 		out, in, err := j.k.run(batch, w, run)
 		j.in += in

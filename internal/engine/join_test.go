@@ -11,10 +11,11 @@ import (
 	"monsoon/internal/value"
 )
 
-// TestPairKernelTwoSidedResiduals runs joins whose residuals read both
-// children through non-identity UDFs — a second join predicate and a
-// selection whose one term spans both aliases — on the hash probe (both
-// build sides) and on the nested loop. Every batch size, worker count and shard count must
+// TestPairKernelTwoSidedResiduals runs joins that test both children through
+// non-identity UDFs — a HashMod join predicate, which the hash join makes a
+// key part, and a selection whose one term spans both aliases, which stays a
+// two-sided residual — on the hash probe (both build sides) and on the
+// nested loop. Every batch size, worker count and shard count must
 // give the serial, batch 4096, S=1 run's rows, counts and charges exactly.
 func TestPairKernelTwoSidedResiduals(t *testing.T) {
 	hashQ := query.NewBuilder("pair-hash").
@@ -57,6 +58,153 @@ func TestPairKernelTwoSidedResiduals(t *testing.T) {
 						t.Errorf("%s S=%d batch=%d par=%d: accounting %v/%v/%v, reference %v/%v/%v",
 							tc.name, s, batch, par, res.Counts, res.Produced, produced,
 							refRes.Counts, refRes.Produced, refProduced)
+					}
+				}
+			}
+		}
+	}
+}
+
+// multiKeyFixture holds a probe table ML and a build table MR whose first
+// column MR.k is the shard column. The secondary key columns hold NULLs on
+// both sides, and MR.x holds Floats against ML.x's Ints: integral ones that
+// must match, and halves that never do.
+func multiKeyFixture() *table.Catalog {
+	cat := table.NewCatalog()
+	lb := table.NewBuilder("ML", table.NewSchema(
+		table.Column{Table: "ML", Name: "a", Kind: value.KindInt},
+		table.Column{Table: "ML", Name: "x", Kind: value.KindInt},
+		table.Column{Table: "ML", Name: "y", Kind: value.KindInt},
+	))
+	for i := 0; i < 4500; i++ {
+		x := value.Int(int64(i % 5))
+		if i%11 == 4 {
+			x = value.Null()
+		}
+		lb.Add(value.Int(int64(i%700)), x, value.Int(int64(i%3)))
+	}
+	cat.Put(lb.Build())
+	rb := table.NewBuilder("MR", table.NewSchema(
+		table.Column{Table: "MR", Name: "k", Kind: value.KindInt},
+		table.Column{Table: "MR", Name: "x", Kind: value.KindFloat},
+		table.Column{Table: "MR", Name: "y", Kind: value.KindInt},
+	))
+	for i := 0; i < 4200; i++ {
+		k := value.Int(int64(i % 700))
+		if i%97 == 5 {
+			k = value.Null()
+		}
+		x := value.Float(float64(i % 5))
+		switch {
+		case i%13 == 0:
+			x = value.Float(float64(i%5) + 0.5)
+		case i%17 == 2:
+			x = value.Null()
+		}
+		rb.Add(k, x, value.Int(int64(i%4)))
+	}
+	cat.Put(rb.Build())
+	return cat
+}
+
+// nestedLoopRef joins a two-leaf tree the slow way: each leaf's stored rows
+// through its own selections, then every remaining predicate tested on every
+// pair, outer rows in order and inner rows ascending — the order a hash join
+// emits. It returns the rows, the per-node counts and the tuples produced.
+func nestedLoopRef(cat *table.Catalog, q *query.Query, tree *plan.Node) ([]table.Row, map[string]float64, float64) {
+	scan := func(n *plan.Node) ([]table.Row, *table.Schema) {
+		tbl, _ := q.TableOf(n.Leaf.Alias())
+		base := cat.MustGet(tbl).Renamed(n.Leaf.Alias())
+		var rows []table.Row
+		for _, row := range base.Rows {
+			keep := true
+			for _, s := range q.SelsAt(n.Leaf) {
+				b, _ := s.T.Fn.Bind(base.Schema)
+				keep = keep && b.Eval(row).Equal(s.Const)
+			}
+			if keep {
+				rows = append(rows, row)
+			}
+		}
+		return rows, base.Schema
+	}
+	lrows, ls := scan(tree.Left)
+	rrows, rs := scan(tree.Right)
+	out := ls.Concat(rs)
+	var lhs, rhs []*expr.Binding
+	var want []value.Value
+	for _, p := range q.PredsNewAt(tree.Left.Aliases(), tree.Right.Aliases()) {
+		lb, _ := p.L.Fn.Bind(out)
+		rb, _ := p.R.Fn.Bind(out)
+		lhs, rhs, want = append(lhs, lb), append(rhs, rb), append(want, value.Value{})
+	}
+	for _, s := range q.SelsNewAt(tree.Left.Aliases(), tree.Right.Aliases()) {
+		b, _ := s.T.Fn.Bind(out)
+		lhs, rhs, want = append(lhs, b), append(rhs, nil), append(want, s.Const)
+	}
+	var rows []table.Row
+	for _, l := range lrows {
+	pairs:
+		for _, r := range rrows {
+			for i, b := range lhs {
+				w := want[i]
+				if rhs[i] != nil {
+					w = rhs[i].EvalPair(l, r)
+				}
+				if !b.EvalPair(l, r).Equal(w) {
+					continue pairs
+				}
+			}
+			rows = append(rows, append(append(table.Row{}, l...), r...))
+		}
+	}
+	counts := map[string]float64{
+		tree.Left.Key(): float64(len(lrows)), tree.Right.Key(): float64(len(rrows)), tree.Key(): float64(len(rows)),
+	}
+	return rows, counts, float64(len(lrows) + len(rrows) + len(rows))
+}
+
+// TestMultiKeyJoinMatchesNestedLoop checks hash joins keyed on two and three
+// cross-child equi-predicates against the nested-loop reference: identity
+// and HashMod parts, a swapped predicate, NULL secondary parts, Ints against
+// equal Floats. At S > 1 the cases take the zero-copy co-partitioned build,
+// the filtered shard-local build and the reshuffled build.
+func TestMultiKeyJoinMatchesNestedLoop(t *testing.T) {
+	copart := query.NewBuilder("mk-copart").Rel("ML", "ML").Rel("MR", "MR").
+		Join(expr.Identity("ML.a"), expr.Identity("MR.k")).
+		Join(expr.Identity("MR.x"), expr.Identity("ML.x")).
+		Join(expr.HashMod("ML.y", 2), expr.HashMod("MR.y", 2)).
+		MustBuild()
+	filtered := query.NewBuilder("mk-filtered").Rel("ML", "ML").Rel("MR", "MR").
+		Join(expr.Identity("ML.a"), expr.Identity("MR.k")).
+		Join(expr.Identity("ML.x"), expr.Identity("MR.x")).
+		Select(expr.HashMod("MR.y", 2), value.Int(1)).
+		Select(expr.SumMod("ML.y", "MR.y", 2), value.Int(0)).
+		MustBuild()
+	reshuffle := query.NewBuilder("mk-reshuffle").Rel("ML", "ML").Rel("MR", "MR").
+		Join(expr.HashMod("ML.a", 50), expr.HashMod("MR.k", 50)).
+		Join(expr.Identity("ML.x"), expr.Identity("MR.x")).
+		Join(expr.Identity("ML.y"), expr.Identity("MR.y")).
+		MustBuild()
+	for _, q := range []*query.Query{copart, filtered, reshuffle} {
+		tree := plan.NewJoin(leaf(q, "ML"), leaf(q, "MR"))
+		refRows, refCounts, refProduced := nestedLoopRef(multiKeyFixture(), q, tree)
+		if len(refRows) == 0 {
+			t.Fatalf("%s: the reference join is empty; the test would prove nothing", q.Name)
+		}
+		for _, s := range []int{1, 2, 4} {
+			for _, batch := range []int{1, 7, 4096} {
+				for _, par := range []int{1, 3} {
+					cat := multiKeyFixture()
+					cat.Shard(s)
+					rel, res, produced := execAt(t, cat, q, tree, batch, par)
+					if !reflect.DeepEqual(rel.Rows, refRows) {
+						t.Errorf("%s S=%d batch=%d par=%d: %d rows, reference %d, or order differs",
+							q.Name, s, batch, par, rel.Count(), len(refRows))
+					}
+					if !reflect.DeepEqual(res.Counts, refCounts) || res.Produced != refProduced || produced != refProduced {
+						t.Errorf("%s S=%d batch=%d par=%d: accounting %v/%v/%v, reference %v/%v",
+							q.Name, s, batch, par, res.Counts, res.Produced, produced, refCounts, refProduced)
 					}
 				}
 			}

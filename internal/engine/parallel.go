@@ -1,12 +1,12 @@
 // Parallel execution paths for the engine's partitionable operators: filter
-// scans, hash-join builds, and the Σ statistics pass; the two join loops fan
-// out through the same runner from join.go. All follow the same recipe —
-// split the input into contiguous chunks, give every worker its own bindings
-// and output buffer, and stitch (or merge) the buffers back together in
-// input order — so a parallel run is bit-identical to the serial one: same
-// row order, same hash-table chain order, same Σ sketch estimates (HLL
-// register merge is order-independent), same budget totals. Only wall time
-// changes.
+// scans and the Σ statistics pass; the hash-join build (hashtable.go) and
+// the two join loops (join.go) fan out through the same runner. All follow
+// the same recipe — split the input into contiguous chunks, give every
+// worker its own bindings and output buffer, and stitch (or merge) the
+// buffers back together in input order — so a parallel run is
+// bit-identical to the serial one: same row order, same hash-table chain
+// order, same Σ sketch estimates (HLL register merge is order-independent),
+// same budget totals. Only wall time changes.
 package engine
 
 import (
@@ -66,75 +66,43 @@ func splitRows(n, w int) [][2]int {
 	return out
 }
 
-// workerRunner fans a partitioned loop body out over w workers over n rows.
-// runWorkers is the plain implementation; Exec.tracedRunner layers
-// per-worker spans on top of the same fan-out.
+// workerRunner fans a partitioned loop body out over w workers over n rows,
+// calling it inline when w <= 1. Exec.runner builds one per operator.
 type workerRunner func(n, w int, fn func(worker, lo, hi int) error) error
 
-// runWorkers fans fn out over w contiguous partitions of n rows and returns
-// the error of the lowest-numbered failing partition (deterministic even when
-// several workers trip the budget at once).
-func runWorkers(n, w int, fn func(worker, lo, hi int) error) error {
-	parts := splitRows(n, w)
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			errs[i] = fn(i, lo, hi)
-		}(i, p[0], p[1])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tracedRunner returns the worker runner for one parallel operator: plain
-// runWorkers when tracing is off, otherwise a fan-out that records one
-// KWorker span per partition under the operator's span. Span IDs stay
-// deterministic because the coordinator pre-creates every worker span before
-// the goroutines launch and ends them in index order after the barrier; each
-// span's duration is the worker's own measured busy time (EndIn), not the
-// coordinator's wall clock. Worker *counts* still follow GOMAXPROCS, which is
-// why KWorker is the one machine-dependent span kind.
-func (e *Exec) tracedRunner(op *obs.Span) workerRunner {
-	if op == nil || !e.Obs.Active() {
-		return runWorkers
-	}
+// runner returns the worker runner for one parallel operator of kind op. It
+// returns the error of the lowest-numbered failing partition (deterministic
+// even when several workers trip the budget at once). With tracing on, it
+// records one KWorker span per partition under the operator's span sp. Span
+// IDs stay deterministic because the coordinator pre-creates every worker
+// span before the goroutines launch and ends them in index order after the
+// barrier; each span's duration is the worker's own measured busy time
+// (EndIn), not the coordinator's wall clock. Worker *counts* still follow
+// GOMAXPROCS, which is why KWorker is the one machine-dependent span kind.
+func (e *Exec) runner(op string, sp *obs.Span) workerRunner {
+	traced := sp != nil && e.Obs.Active()
 	return func(n, w int, fn func(worker, lo, hi int) error) error {
+		if w <= 1 {
+			return fn(0, 0, n)
+		}
 		parts := splitRows(n, w)
-		// Streaming operators fan out once per large-enough batch, so the
-		// operator span accumulates its total worker-span count here (the
-		// "workers" attribute records only the first fan-out's width).
-		op.AddNum("worker_spans", float64(len(parts)))
-		spans := make([]*obs.Span, len(parts))
-		for i, p := range parts {
-			spans[i] = e.Obs.StartChild(op, obs.KWorker, fmt.Sprintf("w%d", i)).
-				SetRows(p[1]-p[0], 0)
-		}
-		elapsed := make([]time.Duration, len(parts))
-		errs := make([]error, len(parts))
-		var wg sync.WaitGroup
-		for i, p := range parts {
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				t0 := time.Now()
-				errs[i] = fn(i, lo, hi)
-				elapsed[i] = time.Since(t0)
-			}(i, p[0], p[1])
-		}
-		wg.Wait()
-		for i, sp := range spans {
-			if errs[i] != nil {
-				sp.SetStr("err", errs[i].Error())
+		var spans []*obs.Span
+		if traced {
+			// Streaming operators fan out once per large-enough batch, so the
+			// operator span accumulates its total worker-span count here (the
+			// "workers" attribute records only the first fan-out's width).
+			sp.AddNum("worker_spans", float64(len(parts)))
+			for i, p := range parts {
+				spans = append(spans, e.Obs.StartChild(sp, obs.KWorker, fmt.Sprintf("w%d", i)).
+					SetRows(p[1]-p[0], 0))
 			}
-			sp.EndIn(elapsed[i])
+		}
+		elapsed, errs := fanOut(op, parts, fn)
+		for i, ws := range spans {
+			if errs[i] != nil {
+				ws.SetStr("err", errs[i].Error())
+			}
+			ws.EndIn(elapsed[i])
 		}
 		for _, err := range errs {
 			if err != nil {
@@ -143,6 +111,32 @@ func (e *Exec) tracedRunner(op *obs.Span) workerRunner {
 		}
 		return nil
 	}
+}
+
+// fanOut runs fn on one goroutine per partition and reports each one's busy
+// time and error. A panic in fn — a caller's UDF failing on some value —
+// becomes that partition's error, naming the operator op, instead of
+// killing the process.
+func fanOut(op string, parts [][2]int, fn func(worker, lo, hi int) error) ([]time.Duration, []error) {
+	elapsed := make([]time.Duration, len(parts))
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for i, p := range parts {
+		wg.Add(1)
+		go func(i, lo, hi int) {
+			t0 := time.Now()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = fmt.Errorf("engine: %s worker %d panicked: %v", op, i, r)
+				}
+				elapsed[i] = time.Since(t0)
+				wg.Done()
+			}()
+			errs[i] = fn(i, lo, hi)
+		}(i, p[0], p[1])
+	}
+	wg.Wait()
+	return elapsed, errs
 }
 
 // stitch concatenates per-worker output buffers in partition order, which is
@@ -177,6 +171,7 @@ func bindSels(sels []*query.SelPred, s *table.Schema) ([]boundSel, bool) {
 // kept so far come back with it.
 func filter(bound []boundSel, rows []table.Row, budget *Budget) ([]table.Row, error) {
 	out := make([]table.Row, 0, len(rows)/4+1)
+	m := meter{b: budget}
 	for _, row := range rows {
 		keep := true
 		for _, s := range bound {
@@ -185,11 +180,16 @@ func filter(bound []boundSel, rows []table.Row, budget *Budget) ([]table.Row, er
 				break
 			}
 		}
-		if keep {
-			out = append(out, row)
-			if err := budget.Charge(1); err != nil {
+		if !keep {
+			// Rejected rows produce nothing; poll the deadline anyway.
+			if err := m.poll(); err != nil {
 				return out, err
 			}
+			continue
+		}
+		out = append(out, row)
+		if err := m.charge(1); err != nil {
+			return out, err
 		}
 	}
 	return out, nil
@@ -215,247 +215,6 @@ func runFilter(bound []boundSel, rows []table.Row, budget *Budget, w int, run wo
 	return stitch(bufs), err
 }
 
-// parallelBuild is the partitioned hash-join build: each worker hashes a
-// contiguous chunk of the build side (global row indices) into a private
-// sub-table, and the sub-tables are merged bucket-wise in worker order.
-// Because chunks are contiguous and ascending, worker-order merging restores
-// both serial invariants exactly — collision chains in global
-// first-occurrence order, per-bucket row lists ascending — so the merged
-// table is identical to the one the serial loop builds. Returns the table
-// and the number of non-NULL keys inserted.
-func parallelBuild(buildRel *table.Relation, bTerm *query.Term, budget *Budget, w int, run workerRunner) (hashTable, int, error) {
-	subs := make([]hashTable, w)
-	ins := make([]int, w)
-	err := run(buildRel.Count(), w, func(worker, lo, hi int) error {
-		bb, _ := bTerm.Fn.Bind(buildRel.Schema)
-		ht := make(hashTable, hi-lo)
-		for j, row := range buildRel.Rows[lo:hi] {
-			// Building produces nothing but must still honor the deadline.
-			if err := budget.Charge(0); err != nil {
-				subs[worker] = ht
-				return err
-			}
-			k := bb.Eval(row)
-			if k.IsNull() {
-				continue
-			}
-			ins[worker]++
-			ht.insert(k, lo+j)
-		}
-		subs[worker] = ht
-		return nil
-	})
-	inserted := 0
-	for _, n := range ins {
-		inserted += n
-	}
-	if err != nil {
-		return nil, inserted, err
-	}
-	merged := subs[0]
-	for wi := 1; wi < w; wi++ {
-		mergeHashTables(merged, subs[wi])
-	}
-	return merged, inserted, nil
-}
-
-// mergeHashTables folds src's chains into dst: row lists concatenate and
-// unseen buckets append after dst's. Correct only when every row index in
-// src exceeds every index in dst — contiguous ascending worker chunks —
-// which is how both parallel builds call it, worker by worker in order.
-func mergeHashTables(dst, src hashTable) {
-	for h, chain := range src {
-		d := dst[h]
-		for _, b := range chain {
-			found := false
-			for di := range d {
-				if d[di].key.Equal(b.key) {
-					d[di].rows = append(d[di].rows, b.rows...)
-					found = true
-					break
-				}
-			}
-			if !found {
-				d = append(d, b)
-			}
-		}
-		dst[h] = d
-	}
-}
-
-// parallelShardedBuild is the exchange-routed parallelBuild: each worker
-// hashes its contiguous chunk into a private shardedTable (routing every
-// key by its full hash), and the per-worker tables merge shard by shard in
-// worker order — the same ascending-chunk merge parallelBuild uses, applied
-// within each sub-table, so the result is identical to a serial routed
-// build, which in turn probes identically to the unsharded table.
-func parallelShardedBuild(buildRel *table.Relation, bTerm *query.Term, s int, budget *Budget, w int, run workerRunner) (*shardedTable, int, error) {
-	subs := make([]*shardedTable, w)
-	ins := make([]int, w)
-	err := run(buildRel.Count(), w, func(worker, lo, hi int) error {
-		bb, _ := bTerm.Fn.Bind(buildRel.Schema)
-		st := newShardedTable(s, hi-lo)
-		subs[worker] = st
-		for j, row := range buildRel.Rows[lo:hi] {
-			// Building produces nothing but must still honor the deadline.
-			if err := budget.Charge(0); err != nil {
-				return err
-			}
-			k := bb.Eval(row)
-			if k.IsNull() {
-				continue
-			}
-			ins[worker]++
-			st.insert(k, lo+j)
-		}
-		return nil
-	})
-	inserted := 0
-	for _, n := range ins {
-		inserted += n
-	}
-	if err != nil {
-		return nil, inserted, err
-	}
-	merged := subs[0]
-	for wi := 1; wi < w; wi++ {
-		for si, sub := range subs[wi].subs {
-			mergeHashTables(merged.subs[si], sub)
-		}
-	}
-	return merged, inserted, nil
-}
-
-// shardLocalBuild is the zero-exchange build of a co-partitioned hash join.
-// The build rows arrived shard-major from the storage layout — bounds[si] is
-// the cumulative end of storage shard si's rows in buildRel — and within
-// storage shard si every key hashes to si mod S by construction (the shard
-// column IS the build key and storage routes by the same value hash). Each
-// sub-table therefore builds directly from its contiguous row range: no
-// per-row routing and, unlike the chunk-partitioned builds, no cross-worker
-// merge — workers own whole sub-tables, partitioned contiguously by shard
-// index. Insertion order within a sub-table is the global (ascending) row
-// order, so chains come out in first-occurrence order with ascending row
-// lists — identical to the serial routed build, which probes identically to
-// the unsharded table. Returns the table and the non-NULL insert count.
-func shardLocalBuild(buildRel *table.Relation, bounds []int, bTerm *query.Term, budget *Budget, w int, run workerRunner) (*shardedTable, int, error) {
-	s := len(bounds)
-	if w > s {
-		w = s
-	}
-	if w < 1 {
-		w = 1
-	}
-	t := &shardedTable{subs: make([]hashTable, s)}
-	ins := make([]int, s)
-	err := run(s, w, func(_, lo, hi int) error {
-		bb, _ := bTerm.Fn.Bind(buildRel.Schema)
-		for si := lo; si < hi; si++ {
-			start := 0
-			if si > 0 {
-				start = bounds[si-1]
-			}
-			rows := buildRel.Rows[start:bounds[si]]
-			ht := make(hashTable, len(rows))
-			t.subs[si] = ht
-			for j, row := range rows {
-				// Building produces nothing but must still honor the deadline.
-				if err := budget.Charge(0); err != nil {
-					return err
-				}
-				k := bb.Eval(row)
-				if k.IsNull() {
-					continue
-				}
-				ins[si]++
-				ht.insertHash(k.Hash(), k, start+j)
-			}
-		}
-		return nil
-	})
-	inserted := 0
-	for _, n := range ins {
-		inserted += n
-	}
-	if err != nil {
-		return nil, inserted, err
-	}
-	return t, inserted, nil
-}
-
-// shardLocalBuildPerm is shardLocalBuild without the drain: when the
-// co-partitioned build leaf has no pushed-down selections, every stored row
-// survives the scan, so sub-tables build in place off the base relation,
-// inserting global row indices. The bit-identity argument is the same — all
-// rows of one key live in one shard and in-shard indices ascend, so every
-// bucket's chain and row list matches the serial unsharded build's — but no
-// row header is ever copied.
-//
-// coPartitioned guarantees the build term is the identity of the shard
-// column, so the key of row i is Rows[i][0] and its hash is the layout's
-// cached RowHash[i]; the build never re-runs the binding or FNV. Serially
-// it routes a single sequential pass over the stored rows (the prefetchable
-// access pattern the unsharded build enjoys); with workers each owns whole
-// sub-tables and walks its shards' permutation slices instead, trading
-// strided row reads for merge-free parallelism.
-func shardLocalBuildPerm(buildRel *table.Relation, sh *table.Sharded, budget *Budget, w int, run workerRunner) (*shardedTable, int, error) {
-	s := sh.NumShards()
-	if w > s {
-		w = s
-	}
-	if w < 1 {
-		w = 1
-	}
-	t := &shardedTable{subs: make([]hashTable, s)}
-	for si := 0; si < s; si++ {
-		t.subs[si] = make(hashTable, len(sh.Shard(si)))
-	}
-	if w == 1 {
-		inserted := 0
-		for i, row := range buildRel.Rows {
-			// Building produces nothing but must still honor the deadline.
-			if err := budget.Charge(0); err != nil {
-				return nil, inserted, err
-			}
-			k := row[0]
-			if k.IsNull() {
-				continue
-			}
-			inserted++
-			h := sh.RowHash[i]
-			t.subs[h%uint64(s)].insertHash(h, k, i)
-		}
-		return t, inserted, nil
-	}
-	ins := make([]int, s)
-	err := run(s, w, func(_, lo, hi int) error {
-		for si := lo; si < hi; si++ {
-			ht := t.subs[si]
-			for _, id := range sh.Shard(si) {
-				if err := budget.Charge(0); err != nil {
-					return err
-				}
-				row := buildRel.Rows[id]
-				k := row[0]
-				if k.IsNull() {
-					continue
-				}
-				ins[si]++
-				ht.insertHash(sh.RowHash[id], k, int(id))
-			}
-		}
-		return nil
-	})
-	inserted := 0
-	for _, n := range ins {
-		inserted += n
-	}
-	if err != nil {
-		return nil, inserted, err
-	}
-	return t, inserted, nil
-}
-
 // sigmaSketches holds one worker's (or the merged) HLL per tracked term, in
 // the caller's term order.
 type sigmaSketches []*sketch.HLL
@@ -474,8 +233,9 @@ func parallelSigma(rel *table.Relation, terms []*query.Term, p uint8, budget *Bu
 			hs[i] = sketch.NewHLL(p)
 		}
 		clones[worker] = hs
+		m := meter{b: budget}
 		for _, row := range rel.Rows[lo:hi] {
-			if err := budget.Charge(1); err != nil {
+			if err := m.charge(1); err != nil {
 				return err
 			}
 			for i, b := range bs {
@@ -511,8 +271,9 @@ func serialSigma(rel *table.Relation, terms []*query.Term, p uint8, budget *Budg
 		bs[i], _ = t.Fn.Bind(rel.Schema)
 		hs[i] = sketch.NewHLL(p)
 	}
+	m := meter{b: budget}
 	for _, row := range rel.Rows {
-		if err := budget.Charge(1); err != nil {
+		if err := m.charge(1); err != nil {
 			return nil, err
 		}
 		for i, b := range bs {
@@ -551,7 +312,7 @@ func (e *Exec) shardedSigma(op *obs.Span, rel *table.Relation, terms []*query.Te
 		var err error
 		if w := e.workers(len(part)); w > 1 {
 			ssp.SetNum("workers", float64(w))
-			partials, err = parallelSigma(shard, terms, p, budget, w, e.tracedRunner(ssp))
+			partials, err = parallelSigma(shard, terms, p, budget, w, e.runner(obs.KSigma, ssp))
 		} else {
 			partials, err = serialSigma(shard, terms, p, budget)
 		}

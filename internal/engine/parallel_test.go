@@ -257,7 +257,7 @@ func TestNestedLoopSpanReportsPairs(t *testing.T) {
 }
 
 // buildFixture returns a relation with interleaved NULL keys and the join
-// term that binds its key column, for driving parallelBuild directly.
+// term that binds its key column, for driving buildTable directly.
 func buildFixture(rows int) (*table.Relation, *query.Term) {
 	ns := table.NewSchema(table.Column{Table: "N", Name: "x", Kind: value.KindInt})
 	nb := table.NewBuilder("N", ns)
@@ -281,68 +281,92 @@ func buildFixture(rows int) (*table.Relation, *query.Term) {
 	return nb.Build(), q.Joins[0].L
 }
 
-// serialBuild replicates the engine's serial build loop, as the reference
-// the partitioned build must reproduce exactly.
-func serialBuild(rel *table.Relation, term *query.Term) (hashTable, int) {
-	bb, _ := term.Fn.Bind(rel.Schema)
-	ht := make(hashTable, rel.Count())
-	inserted := 0
-	for i, row := range rel.Rows {
-		k := bb.Eval(row)
-		if k.IsNull() {
-			continue
-		}
-		inserted++
-		ht.insert(k, i)
-	}
-	return ht, inserted
+// buildOf runs buildTable over rel keyed on term, with w workers and s
+// sub-tables.
+func buildOf(rel *table.Relation, term *query.Term, s, w int, budget *Budget) (*joinTable, int, error) {
+	b, _ := term.Fn.Bind(rel.Schema)
+	return buildTable(rel.Rows, nil, []*expr.Binding{b}, s, budget, w, (&Exec{}).runner(obs.KHashBuild, nil))
 }
 
-// TestParallelBuildIdenticalTable: the partitioned build merges to a table
-// deep-equal to the serial one — chain order, row order, NULL skipping — for
-// worker counts below, at, and far above the row count.
+// TestParallelBuildIdenticalTable: the partitioned build — keys over row
+// chunks, inserts over sub-tables — is deep-equal to the serial build for
+// worker counts below, at, and far above the row count, unsharded and
+// sharded; and the serial build chains exactly the rows of each key, in
+// ascending order, skipping NULL keys.
 func TestParallelBuildIdenticalTable(t *testing.T) {
 	for _, rows := range []int{5000, 17} {
 		rel, term := buildFixture(rows)
-		want, wantIns := serialBuild(rel, term)
-		for _, w := range []int{1, 2, 7, 64} {
-			ht, ins, err := parallelBuild(rel, term, &Budget{}, w, runWorkers)
+		for _, s := range []int{1, 4} {
+			want, wantIns, err := buildOf(rel, term, s, 1, &Budget{})
 			if err != nil {
-				t.Fatalf("rows=%d w=%d: %v", rows, w, err)
+				t.Fatalf("rows=%d S=%d serial: %v", rows, s, err)
 			}
-			if ins != wantIns {
-				t.Errorf("rows=%d w=%d: inserted %d, want %d", rows, w, ins, wantIns)
+			byKey := map[int64][]int32{}
+			for i, row := range rel.Rows {
+				if !row[0].IsNull() {
+					byKey[row[0].AsInt()] = append(byKey[row[0].AsInt()], int32(i))
+				}
 			}
-			if !reflect.DeepEqual(ht, want) {
-				t.Errorf("rows=%d w=%d: merged table differs from serial build", rows, w)
+			chained := 0
+			for k, ids := range byKey {
+				v := value.Int(k)
+				var got []int32
+				for r := want.chain(v.Hash(), v.Hash()); r != 0; r = want.next[r-1] {
+					if want.matches(int(r-1), []value.Value{v}) {
+						got = append(got, r-1)
+					}
+				}
+				if !reflect.DeepEqual(got, ids) {
+					t.Fatalf("rows=%d S=%d key %d: chain %v, want %v", rows, s, k, got, ids)
+				}
+				chained += len(ids)
+			}
+			if wantIns != chained {
+				t.Errorf("rows=%d S=%d: inserted %d, want %d", rows, s, wantIns, chained)
+			}
+			for _, w := range []int{2, 7, 64} {
+				ht, ins, err := buildOf(rel, term, s, w, &Budget{})
+				if err != nil {
+					t.Fatalf("rows=%d S=%d w=%d: %v", rows, s, w, err)
+				}
+				if ins != wantIns {
+					t.Errorf("rows=%d S=%d w=%d: inserted %d, want %d", rows, s, w, ins, wantIns)
+				}
+				if !reflect.DeepEqual(ht, want) {
+					t.Errorf("rows=%d S=%d w=%d: partitioned table differs from serial build", rows, s, w)
+				}
 			}
 		}
 	}
 }
 
-// TestParallelBuildEmptySide: an empty build side merges to an empty table
-// with zero insertions for any worker count.
+// TestParallelBuildEmptySide: an empty build side yields an empty table
+// with zero insertions for any worker count, and probes miss.
 func TestParallelBuildEmptySide(t *testing.T) {
 	rel, term := buildFixture(0)
 	for _, w := range []int{1, 2, 7, 64} {
-		ht, ins, err := parallelBuild(rel, term, &Budget{}, w, runWorkers)
+		ht, ins, err := buildOf(rel, term, 1, w, &Budget{})
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
-		if ins != 0 || len(ht) != 0 {
-			t.Errorf("w=%d: inserted %d, table size %d, want empty", w, ins, len(ht))
+		if ins != 0 || len(ht.next) != 0 {
+			t.Errorf("w=%d: inserted %d, table size %d, want empty", w, ins, len(ht.next))
+		}
+		if h := value.Int(1).Hash(); ht.chain(h, h) != 0 {
+			t.Errorf("w=%d: probe of an empty table found a chain", w)
 		}
 	}
 }
 
 // TestParallelBuildBudgetAbort: a tripped budget surfaces ErrBudget from the
-// partitioned build just as the serial loop does.
+// partitioned build just as from the serial one.
 func TestParallelBuildBudgetAbort(t *testing.T) {
 	rel, term := buildFixture(5000)
-	b := &Budget{}
-	b.Deadline = time.Now().Add(-time.Second)
-	if _, _, err := parallelBuild(rel, term, b, 4, runWorkers); !errors.Is(err, ErrBudget) {
-		t.Errorf("err = %v, want ErrBudget", err)
+	for _, w := range []int{1, 4} {
+		b := &Budget{Deadline: time.Now().Add(-time.Second)}
+		if _, _, err := buildOf(rel, term, 1, w, b); !errors.Is(err, ErrBudget) {
+			t.Errorf("w=%d: err = %v, want ErrBudget", w, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"monsoon/internal/expr"
+	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
 	"monsoon/internal/table"
@@ -66,59 +67,35 @@ func BenchmarkCopartHashJoin(b *testing.B) {
 	cat.Shard(1)
 }
 
-// BenchmarkShardedBuildOnly isolates the hash-build strategies the join
-// chooses from: the chunk-partitioned flat build plus merge (the S=1 path),
-// the hash-routed sharded build plus merge (the reshuffle path), and the
-// zero-exchange shard-local build (the co-partitioned path).
+// BenchmarkShardedBuildOnly isolates the one hash build over the row
+// sources and routing rules a join chooses from: one table (the S=1 path),
+// hash-routed sub-tables (the reshuffle path), and sub-tables keyed on the
+// layout's cached shard-column hashes (the zero-copy co-partitioned path).
 func BenchmarkShardedBuildOnly(b *testing.B) {
 	const rows, keys, shards, workers = 600_000, 150_000, 16, 8
 	cat := benchCatalog(1, rows, keys)
 	buildRel := cat.MustGet("B")
-	bTerm := &query.Term{Fn: expr.Identity("B.k")}
-
-	b.Run("flat+merge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := parallelBuild(buildRel, bTerm, &Budget{}, workers, runWorkers); err != nil {
-				b.Fatal(err)
+	key, _ := expr.Identity("B.k").Bind(buildRel.Schema)
+	run := (&Exec{}).runner(obs.KHashBuild, nil)
+	cat.Shard(shards)
+	sh, _ := cat.ShardsOf("B")
+	cat.Shard(1)
+	for _, tc := range []struct {
+		name    string
+		s       int
+		rowHash []uint64
+	}{
+		{"flat", 1, nil},
+		{"routed", shards, nil},
+		{"shard-local", shards, sh.RowHash},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := buildTable(buildRel.Rows, tc.rowHash, []*expr.Binding{key}, tc.s, &Budget{}, workers, run); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("routed+merge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := parallelShardedBuild(buildRel, bTerm, shards, &Budget{}, workers, runWorkers); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("shard-local", func(b *testing.B) {
-		// Shard-major row order with per-shard bounds, as the shard-local
-		// scan would deliver them.
-		rel, bounds := shardMajor(buildRel, shards)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := shardLocalBuild(rel, bounds, bTerm, &Budget{}, workers, runWorkers); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// shardMajor reorders a relation shard-major by its first column's hash,
-// returning the reordered relation and the cumulative per-shard bounds —
-// the exact input shape shardLocalBuild consumes.
-func shardMajor(rel *table.Relation, s int) (*table.Relation, []int) {
-	parts := make([][]table.Row, s)
-	for _, row := range rel.Rows {
-		h := row[0].Hash() % uint64(s)
-		parts[h] = append(parts[h], row)
+		})
 	}
-	var rows []table.Row
-	bounds := make([]int, 0, s)
-	for _, p := range parts {
-		rows = append(rows, p...)
-		bounds = append(bounds, len(rows))
-	}
-	return table.NewRelation(rel.Name, rel.Schema, rows), bounds
 }

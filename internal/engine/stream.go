@@ -27,10 +27,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"monsoon/internal/expr"
 	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
 	"monsoon/internal/table"
+	"monsoon/internal/value"
 )
 
 // DefaultBatchSize is the pipeline batch size when Engine.BatchSize is 0.
@@ -273,7 +275,7 @@ func (s *scanIter) Next() ([]table.Row, error) {
 				s.fanned = true
 				s.sp.SetNum("workers", float64(w))
 			}
-			run = s.e.tracedRunner(s.sp)
+			run = s.e.runner(obs.KScan, s.sp)
 		}
 		out, err := runFilter(s.bound, rows, s.budget, w, run)
 		s.kept += len(out)
@@ -318,36 +320,35 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	newPreds := q.PredsNewAt(n.Left.Aliases(), n.Right.Aliases())
 	newSels := q.SelsNewAt(n.Left.Aliases(), n.Right.Aliases())
 
-	// Choose a hash predicate: one whose sides bind to opposite children.
-	// The build side is always the right child — under streaming the left
-	// side's cardinality is unknown until drained, so the materialized
-	// engine's build-on-the-smaller-side swap is no longer possible — and
-	// the probe term binds the (streaming) left child. Chosen before the
-	// children open (it is pure) so the exchange decision below can steer
-	// how the build child is scanned.
-	var hashPred *query.JoinPred
-	var buildTerm, probeTerm *query.Term
-	for _, p := range newPreds {
-		lInL := p.L.Aliases.SubsetOf(n.Left.Aliases())
-		rInR := p.R.Aliases.SubsetOf(n.Right.Aliases())
-		lInR := p.L.Aliases.SubsetOf(n.Right.Aliases())
-		rInL := p.R.Aliases.SubsetOf(n.Left.Aliases())
-		if lInL && rInR {
-			hashPred, probeTerm, buildTerm = p, p.L, p.R
-			break
+	// The hash key is every predicate whose sides bind to opposite children,
+	// in predicate order; the first is the primary part, which routes rows
+	// to sub-tables. The build side is always the right child — under
+	// streaming the left side's cardinality is unknown until drained, so
+	// the materialized engine's build-on-the-smaller-side swap is no longer
+	// possible — and the probe terms bind the (streaming) left child. The
+	// key is chosen before the children open (it is pure) so the exchange
+	// decision below can steer how the build child is scanned.
+	var buildTerms, probeTerms []*query.Term
+	inKey := make([]bool, len(newPreds))
+	for i, p := range newPreds {
+		switch {
+		case p.L.Aliases.SubsetOf(n.Left.Aliases()) && p.R.Aliases.SubsetOf(n.Right.Aliases()):
+			probeTerms, buildTerms = append(probeTerms, p.L), append(buildTerms, p.R)
+		case p.L.Aliases.SubsetOf(n.Right.Aliases()) && p.R.Aliases.SubsetOf(n.Left.Aliases()):
+			probeTerms, buildTerms = append(probeTerms, p.R), append(buildTerms, p.L)
+		default:
+			continue
 		}
-		if lInR && rInL {
-			hashPred, probeTerm, buildTerm = p, p.R, p.L
-			break
-		}
+		inKey[i] = true
 	}
+	hashed := len(buildTerms) > 0
 
 	// Exchange decision: a build child served directly by the storage
-	// layer's shard layout on the join key scans shard-local (shard-major,
-	// zero moved rows); any other hash build at S > 1 is a reshuffle —
-	// every row is hash-routed into the sharded table it belongs to.
+	// layer's shard layout on the primary key part scans shard-local
+	// (shard-major, zero moved rows); any other hash build at S > 1 is a
+	// reshuffle — every row is hash-routed into the sub-table it belongs to.
 	shards := e.shardCount()
-	localBuild := shards > 1 && hashPred != nil && e.coPartitioned(q, n.Right, buildTerm)
+	localBuild := shards > 1 && hashed && e.coPartitioned(q, n.Right, buildTerms[0])
 
 	left, lschema, err := e.open(q, n.Left, budget, res, jsp)
 	if err != nil {
@@ -355,13 +356,12 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	}
 	var right rowIter
 	var rschema *table.Schema
-	var shardScan *shardScanIter
 	var zeroRel *table.Relation // in-place build input (no drain) when set
 	var zeroSh *table.Sharded
 	if localBuild && len(q.SelsAt(n.Right.Leaf)) == 0 {
 		zeroRel, zeroSh, rschema, err = e.openShardZero(q, n.Right, budget, res, jsp)
 	} else if localBuild {
-		right, shardScan, rschema, err = e.openShard(q, n.Right, budget, res, jsp)
+		right, rschema, err = e.openShard(q, n.Right, budget, res, jsp)
 	} else {
 		right, rschema, err = e.open(q, n.Right, budget, res, jsp)
 	}
@@ -373,8 +373,8 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	// Everything else is residual, bound over the output schema and
 	// evaluated on each (left row, right row) pair in place.
 	var residuals []residual
-	for _, p := range newPreds {
-		if p == hashPred {
+	for i, p := range newPreds {
+		if inKey[i] {
 			continue
 		}
 		lb, ok1 := p.L.Fn.Bind(outSchema)
@@ -416,91 +416,41 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 		buildRel = table.NewRelation(n.Right.Key(), rschema, rrows)
 	}
 
-	if hashPred == nil {
+	if !hashed {
 		sp := e.Obs.StartChild(jsp, obs.KNestedLoop, n.Key()).SetNum("residuals", float64(len(residuals)))
-		k := &pairKernel{inner: buildRel.Rows, res: residuals, budget: budget}
+		k := &pairKernel{inner: buildRel.Rows, res: residuals, m: meter{b: budget}}
 		return &joinIter{e: e, jsp: jsp, sp: sp, left: left, k: k}, outSchema, nil
 	}
 
-	bb, ok := buildTerm.Fn.Bind(buildRel.Schema)
-	if !ok {
-		return fail(fmt.Errorf("engine: term %s not bindable on build side", buildTerm), left)
-	}
-	pb, ok := probeTerm.Fn.Bind(lschema)
-	if !ok {
-		return fail(fmt.Errorf("engine: term %s not bindable on probe side", probeTerm), left)
+	bks := make([]*expr.Binding, len(buildTerms))
+	pbs := make([]*expr.Binding, len(probeTerms))
+	for i := range buildTerms {
+		var ok1, ok2 bool
+		bks[i], ok1 = buildTerms[i].Fn.Bind(buildRel.Schema)
+		pbs[i], ok2 = probeTerms[i].Fn.Bind(lschema)
+		if !ok1 || !ok2 {
+			return fail(fmt.Errorf("engine: key %s = %s not bindable at %s", probeTerms[i], buildTerms[i], n), left)
+		}
 	}
 	bsp := e.Obs.StartChild(jsp, obs.KHashBuild, n.Key())
-	var ht *shardedTable
-	inserted := 0
+	// One build for every row source: the drained build child, or — on the
+	// zero-copy co-partitioned path — the stored rows in place, keyed on the
+	// shard column whose hashes the layout already holds. Either way, rows
+	// route to sub-table Hash(primary) mod S and chain in ascending order,
+	// so the table, and every probe against it, is the serial unsharded
+	// one's.
+	var rowHash []uint64
 	if zeroSh != nil {
-		// Zero-exchange, zero-copy build: sub-tables build in place off the
-		// stored rows through the layout's permutation, inserting global row
-		// indices. Within a storage shard indices ascend and every key's rows
-		// live in one shard, so chains and row lists come out exactly as the
-		// serial unsharded build orders them.
-		w := e.workers(buildRel.Count())
-		if w > shards {
-			w = shards
-		}
-		run := workerRunner(runWorkers)
-		if w > 1 {
-			bsp.SetNum("workers", float64(w))
-			run = e.tracedRunner(bsp)
-		}
-		ht, inserted, err = shardLocalBuildPerm(buildRel, zeroSh, budget, w, run)
-		if err != nil {
-			bsp.SetRows(buildRel.Count(), inserted).SetStr("err", err.Error()).End()
-			return fail(err, left)
-		}
-	} else if localBuild && len(shardScan.bounds) == shards {
-		// Zero-exchange build over a filtered shard-local drain: the drained
-		// rows are shard-major and within a storage shard every key already
-		// hashes to that shard, so each sub-table builds directly from its
-		// contiguous row range — no routing and, unlike the chunk-partitioned
-		// builds below, no cross-worker merge. Workers own whole sub-tables.
-		w := e.workers(buildRel.Count())
-		if w > shards {
-			w = shards
-		}
-		run := workerRunner(runWorkers)
-		if w > 1 {
-			bsp.SetNum("workers", float64(w))
-			run = e.tracedRunner(bsp)
-		}
-		ht, inserted, err = shardLocalBuild(buildRel, shardScan.bounds, buildTerm, budget, w, run)
-		if err != nil {
-			bsp.SetRows(buildRel.Count(), inserted).SetStr("err", err.Error()).End()
-			return fail(err, left)
-		}
-	} else if w := e.workers(buildRel.Count()); w > 1 {
+		rowHash = zeroSh.RowHash
+	}
+	w := e.workers(buildRel.Count())
+	if w > 1 {
 		bsp.SetNum("workers", float64(w))
-		if shards > 1 {
-			ht, inserted, err = parallelShardedBuild(buildRel, buildTerm, shards, budget, w, e.tracedRunner(bsp))
-		} else {
-			var flat hashTable
-			flat, inserted, err = parallelBuild(buildRel, buildTerm, budget, w, e.tracedRunner(bsp))
-			ht = &shardedTable{subs: []hashTable{flat}}
-		}
-		if err != nil {
-			bsp.SetRows(buildRel.Count(), inserted).SetStr("err", err.Error()).End()
-			return fail(err, left)
-		}
-	} else {
-		ht = newShardedTable(shards, buildRel.Count())
-		for i, row := range buildRel.Rows {
-			// Building produces nothing but must still honor the deadline.
-			if err := budget.Charge(0); err != nil {
-				bsp.SetRows(buildRel.Count(), inserted).SetStr("err", err.Error()).End()
-				return fail(err, left)
-			}
-			k := bb.Eval(row)
-			if k.IsNull() {
-				continue
-			}
-			inserted++
-			ht.insert(k, i)
-		}
+	}
+	ht, inserted, err := buildTable(buildRel.Rows, rowHash, bks, shards, budget, w, e.runner(obs.KHashBuild, bsp))
+	if err != nil {
+		bsp.SetRows(buildRel.Count(), inserted).SetStr("err", err.Error()).End()
+		return fail(err, left)
 	}
 	if shards > 1 {
 		bsp.SetNum("shards", float64(shards))
@@ -522,7 +472,7 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	}
 	bsp.SetRows(buildRel.Count(), inserted).SetNum("residuals", float64(len(residuals))).End()
 	psp := e.Obs.StartChild(jsp, obs.KHashProbe, n.Key())
-	k := &pairKernel{inner: buildRel.Rows, ht: ht, pb: pb, res: residuals, budget: budget}
+	k := &pairKernel{inner: buildRel.Rows, ht: ht, pb: pbs, key: make([]value.Value, len(pbs)), res: residuals, m: meter{b: budget}}
 	return &joinIter{e: e, jsp: jsp, sp: psp, left: left, k: k}, outSchema, nil
 }
 
@@ -557,23 +507,21 @@ func (e *Exec) coPartitioned(q *query.Query, n *plan.Node, buildTerm *query.Term
 }
 
 // openShard opens a co-partitioned build leaf as a shard-local scan,
-// mirroring open's accounting (inclusive open time, nodeIter wrapping). The
-// concrete scan iterator is returned alongside so the enclosing join can read
-// its shard boundaries after the drain.
-func (e *Exec) openShard(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span) (rowIter, *shardScanIter, *table.Schema, error) {
+// mirroring open's accounting (inclusive open time, nodeIter wrapping).
+func (e *Exec) openShard(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span) (rowIter, *table.Schema, error) {
 	t0 := time.Now()
 	it, schema, err := e.openShardLeaf(q, n, budget, parent)
 	res.Times[n.Key()] += time.Since(t0)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return &nodeIter{inner: it, key: n.Key(), res: res}, it, schema, nil
+	return &nodeIter{inner: it, key: n.Key(), res: res}, schema, nil
 }
 
 // openShardZero is the zero-copy variant of the shard-local build scan for
 // leaves with no pushed-down selections: every stored row survives the
-// "scan", so there is nothing to gather or drain — the build can read the
-// base relation in place through the layout's permutation. The trace and
+// "scan", so there is nothing to gather or drain — the build reads the
+// base relation in place, with the layout's cached row hashes. The trace and
 // budget are indistinguishable from a full shard-local drain (same KScan
 // span, one KShard child per storage shard, slab-granular tuple charges);
 // only the 2× per-row-header copy of gather-then-drain disappears.
@@ -662,22 +610,16 @@ func (e *Exec) openShardLeaf(q *query.Query, n *plan.Node, budget *Budget, paren
 // safe only because the consumer is a hash-routed build whose per-key
 // layout is shard-order-independent; it is never a streaming probe side.
 type shardScanIter struct {
-	e      *Exec
-	sp     *obs.Span
-	base   *table.Relation // renamed view: schema under the query alias
-	sh     *table.Sharded
-	bound  []boundSel
-	budget *Budget
-	slab   int
-	si     int       // current shard index
-	pos    int       // position within the current shard
-	cur    *obs.Span // current shard's KShard span
-	// bounds records the cumulative kept-row count at each shard's end. A
-	// complete drain leaves one entry per storage shard, so the consumer
-	// knows which contiguous range of the (shard-major) drained rows came
-	// from which shard — what shardLocalBuild needs to build sub-tables
-	// without re-routing.
-	bounds  []int
+	e       *Exec
+	sp      *obs.Span
+	base    *table.Relation // renamed view: schema under the query alias
+	sh      *table.Sharded
+	bound   []boundSel
+	budget  *Budget
+	slab    int
+	si      int         // current shard index
+	pos     int         // position within the current shard
+	cur     *obs.Span   // current shard's KShard span
 	buf     []table.Row // reusable gather buffer (batches are not retained)
 	curKept int
 	total   int
@@ -696,7 +638,6 @@ func (s *shardScanIter) Next() ([]table.Row, error) {
 		if s.pos >= len(idx) {
 			s.cur.SetRows(len(idx), s.curKept).End()
 			s.cur, s.curKept, s.pos = nil, 0, 0
-			s.bounds = append(s.bounds, s.kept)
 			s.si++
 			continue
 		}
@@ -734,7 +675,7 @@ func (s *shardScanIter) Next() ([]table.Row, error) {
 				s.fanned = true
 				s.sp.SetNum("workers", float64(w))
 			}
-			run = s.e.tracedRunner(s.cur)
+			run = s.e.runner(obs.KScan, s.cur)
 		}
 		out, err := runFilter(s.bound, rows, s.budget, w, run)
 		s.kept += len(out)
