@@ -181,16 +181,31 @@ func TestQueryAdhocSQL(t *testing.T) {
 	}
 }
 
-// TestQueryBudgetExceeded: a request-tightened deadline that cannot possibly
-// be met maps to 504 with the budget error in the body.
+// TestQueryBudgetExceeded: a budget the query cannot meet maps to 504 with
+// the budget error in the body — a 1 ms deadline on a query whose plan is not
+// cached, so that planning alone outlasts it, and a one-tuple bound, which
+// the first scan exceeds.
 func TestQueryBudgetExceeded(t *testing.T) {
-	h := testServer(t).Handler()
-	rec, qr := doJSON(t, h, "POST", "/query", `{"query": "tpch-q3", "timeout_ms": 1}`)
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504 (%s)", rec.Code, rec.Body.String())
+	// A daemon of its own: the shared one may have cached tpch-q3's plan.
+	s, err := New(Config{Bench: "tpch", Seed: 1})
+	if err != nil {
+		t.Fatalf("building daemon: %v", err)
 	}
-	if !strings.Contains(qr.Error, "budget") {
-		t.Errorf("error %q does not name the budget", qr.Error)
+	h := s.Handler()
+	for _, body := range []string{
+		`{"query": "tpch-q3", "timeout_ms": 1}`,
+		`{"query": "tpch-q3", "max_tuples": 1}`,
+	} {
+		rec, qr := doJSON(t, h, "POST", "/query", body)
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status %d, want 504 (%s)", body, rec.Code, rec.Body.String())
+		}
+		if !strings.Contains(qr.Error, "budget") {
+			t.Errorf("%s: error %q does not name the budget", body, qr.Error)
+		}
+		if qr.CacheHits != 0 {
+			t.Errorf("%s: %d plan-cache hits, want a fresh plan", body, qr.CacheHits)
+		}
 	}
 }
 

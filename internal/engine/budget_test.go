@@ -105,9 +105,10 @@ func TestTupleCapOverrunProduced(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicBecomesError: a caller's UDF that panics on one value inside
-// a fan-out worker fails the query with an error naming the operator, and
-// the process survives.
+// TestWorkerPanicBecomesError: a caller's UDF that panics on one value fails
+// the query with an error naming the operator, and the process survives —
+// inside a fan-out worker and on the inline one-worker path alike, in the
+// hash build, the probe, a selection scan and the Σ pass.
 func TestWorkerPanicBecomesError(t *testing.T) {
 	fragile := &expr.UDF{Name: "fragile", Args: []string{"BR.a"}, Fn: func(args []value.Value) value.Value {
 		if args[0].AsInt() == 777 {
@@ -117,18 +118,25 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 	}}
 	q := query.NewBuilder("fragile").Rel("BR", "BR").Rel("BS", "BS").
 		Join(fragile, expr.Identity("BS.k")).MustBuild()
+	sel := query.NewBuilder("fragile-sel").Rel("BR", "BR").
+		Select(fragile, value.Int(1)).MustBuild()
 	for _, tc := range []struct {
+		q    *query.Query
 		tree *plan.Node
 		op   string
 	}{
-		{plan.NewJoin(leaf(q, "BS"), leaf(q, "BR")), obs.KHashBuild},
-		{plan.NewJoin(leaf(q, "BR"), leaf(q, "BS")), obs.KHashProbe},
+		{q, plan.NewJoin(leaf(q, "BS"), leaf(q, "BR")), obs.KHashBuild},
+		{q, plan.NewJoin(leaf(q, "BR"), leaf(q, "BS")), obs.KHashProbe},
+		{sel, leaf(sel, "BR"), obs.KScan},
+		{q, leaf(q, "BR").WithSigma(), obs.KSigma},
 	} {
-		e := New(bigFixture())
-		e.Parallelism = 3
-		_, _, err := e.ExecTree(q, tc.tree, &Budget{})
-		if err == nil || !strings.Contains(err.Error(), tc.op) || !strings.Contains(err.Error(), "cannot take 777") {
-			t.Errorf("%s: err = %v, want the recovered panic naming %s", tc.tree, err, tc.op)
+		for _, par := range []int{1, 3} {
+			e := New(bigFixture())
+			e.Parallelism = par
+			_, _, err := e.ExecTree(tc.q, tc.tree, &Budget{})
+			if err == nil || !strings.Contains(err.Error(), tc.op) || !strings.Contains(err.Error(), "cannot take 777") {
+				t.Errorf("%s par %d: err = %v, want the recovered panic naming %s", tc.tree, par, err, tc.op)
+			}
 		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
-	"monsoon/internal/sketch"
 	"monsoon/internal/stats"
 	"monsoon/internal/table"
 	"monsoon/internal/value"
@@ -332,20 +331,12 @@ func (e *Exec) ExecTree(q *query.Query, n *plan.Node, budget *Budget) (*table.Re
 		return nil, res, err
 	}
 	sampler := e.peakSampler(res)
-	var out []table.Row
-	for {
-		b, err := it.Next()
-		if err != nil {
-			it.Close(err)
-			sampler.finish()
-			msp.SetStr("err", err.Error()).SetProduced(res.Produced).End()
-			return nil, res, err
-		}
-		if b == nil {
-			break
-		}
-		out = append(out, b...)
-		sampler.sample()
+	out, err := drain(it, sampler.sample)
+	if err != nil {
+		it.Close(err)
+		sampler.finish()
+		msp.SetStr("err", err.Error()).SetProduced(res.Produced).End()
+		return nil, res, err
 	}
 	it.Close(nil)
 	rel := table.NewRelation(n.Key(), schema, out)
@@ -383,78 +374,43 @@ func (e *Exec) collectSigma(q *query.Query, n *plan.Node, rel *table.Relation, b
 	if p == 0 {
 		p = 14
 	}
-	type tracked struct {
-		term *query.Term
-		b    *expr.Binding
-		h    *sketch.HLL
-	}
-	var ts []tracked
+	var terms []*query.Term
 	for _, t := range q.Terms() {
-		if !t.Aliases.SubsetOf(n.Aliases()) {
-			continue
+		if t.Aliases.SubsetOf(n.Aliases()) && t.Fn.Evaluable(rel.Schema) {
+			terms = append(terms, t)
 		}
-		b, ok := t.Fn.Bind(rel.Schema)
-		if !ok {
-			continue
-		}
-		ts = append(ts, tracked{term: t, b: b, h: sketch.NewHLL(p)})
 	}
-	sp := e.Obs.Start(obs.KSigma, n.Key()).SetNum("terms", float64(len(ts)))
-	if s := e.shardCount(); s > 1 && len(ts) > 0 {
+	sp := e.Obs.Start(obs.KSigma, n.Key()).SetNum("terms", float64(len(terms)))
+	var hs sigmaSketches
+	var err error
+	if s := e.shardCount(); s > 1 && len(terms) > 0 {
 		// Partial-Σ exchange: one HLL pass per storage shard, merged
 		// register-wise. The register merge is a per-register max, so the
 		// merged estimates equal the single-sketch estimates for any S.
 		sp.SetNum("shards", float64(s))
-		terms := make([]*query.Term, len(ts))
-		for i, t := range ts {
-			terms[i] = t.term
-		}
-		merged, err := e.shardedSigma(sp, rel, terms, p, s, budget)
-		if err != nil {
-			sp.SetRows(rel.Count(), 0).SetStr("err", err.Error()).End()
-			return err
-		}
-		if e.Metrics != nil {
+		hs, err = e.shardedSigma(sp, rel, terms, p, s, budget)
+		if err == nil && e.Metrics != nil {
 			e.Metrics.Counter("monsoon.exchange.sigma.partials").Add(int64(s))
 		}
-		for i := range ts {
-			ts[i].h = merged[i]
-		}
-	} else if w := e.workers(rel.Count()); w > 1 && len(ts) > 0 {
-		sp.SetNum("workers", float64(w))
-		terms := make([]*query.Term, len(ts))
-		for i, t := range ts {
-			terms[i] = t.term
-		}
-		merged, err := parallelSigma(rel, terms, p, budget, w, e.runner(obs.KSigma, sp))
-		if err != nil {
-			sp.SetRows(rel.Count(), 0).SetStr("err", err.Error()).End()
-			return err
-		}
-		for i := range ts {
-			ts[i].h = merged[i]
-		}
 	} else {
-		m := meter{b: budget}
-		for _, row := range rel.Rows {
-			if err := m.charge(1); err != nil {
-				sp.SetRows(rel.Count(), 0).SetStr("err", err.Error()).End()
-				return err
-			}
-			for _, t := range ts {
-				v := t.b.Eval(row)
-				if v.IsNull() {
-					continue
-				}
-				t.h.Add(v.Hash())
-			}
+		w := 1
+		if len(terms) > 0 {
+			w = e.workers(rel.Count())
 		}
+		if w > 1 {
+			sp.SetNum("workers", float64(w))
+		}
+		hs, err = sigmaPass(rel, terms, p, budget, w, e.runner(obs.KSigma, sp))
+	}
+	if err != nil {
+		sp.SetRows(rel.Count(), 0).SetStr("err", err.Error()).End()
+		return err
 	}
 	res.Produced += float64(rel.Count()) // the extra pass, §4.4
-	for _, t := range ts {
-		res.Sigma = append(res.Sigma, SigmaObs{Term: t.term.ID, Expr: n.Key(), D: t.h.Estimate()})
+	for i, t := range terms {
+		res.Sigma = append(res.Sigma, SigmaObs{Term: t.ID, Expr: n.Key(), D: hs[i].Estimate()})
 	}
-	sp.SetRows(rel.Count(), len(ts)).SetProduced(float64(rel.Count())).End()
+	sp.SetRows(rel.Count(), len(terms)).SetProduced(float64(rel.Count())).End()
 	return nil
 }
 

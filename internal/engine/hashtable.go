@@ -22,10 +22,16 @@ import (
 // probe emits its matches in the order the row source holds them — the
 // order a nested loop over the same rows would emit. After the build the
 // table is read-only, so probe workers share it without locks.
+//
+// Only computed key parts are stored. An identity part is a column of the
+// build row, so a probe compares it where the row holds it; a TPC-H build,
+// keyed on plain columns, copies no key at all.
 type joinTable struct {
-	parts int           // key parts per row
-	keys  []value.Value // keys[i*parts+j] is part j of build row i
-	hash  []uint64      // combined key hash of build row i
+	rows   []table.Row   // the build rows
+	cols   []int         // cols[j] is the build column of identity part j, -1 if part j is stored
+	stored int           // stored parts per row
+	keys   []value.Value // keys[i*stored:(i+1)*stored] are build row i's stored parts, in part order
+	hash   []uint64      // combined key hash of build row i
 	// next[i] is the row after i in its chain, plus one (0 ends the chain);
 	// -1 marks a row with a NULL primary part, which is never chained.
 	next []int32
@@ -128,9 +134,15 @@ func (t *joinTable) chain(h1, h uint64) int32 {
 // part. Value.Equal makes a NULL part match nothing and an Int match an
 // equal Float, as the residual it replaces did.
 func (t *joinTable) matches(i int, key []value.Value) bool {
-	own := t.keys[i*t.parts : (i+1)*t.parts]
+	row, own := t.rows[i], t.keys[i*t.stored:(i+1)*t.stored]
 	for j, v := range key {
-		if !own[j].Equal(v) {
+		var part value.Value
+		if c := t.cols[j]; c >= 0 {
+			part = row[c]
+		} else {
+			part, own = own[0], own[1:]
+		}
+		if !part.Equal(v) {
 			return false
 		}
 	}
@@ -156,14 +168,22 @@ func buildTable(rows []table.Row, rowHash []uint64, keys []*expr.Binding, s int,
 	if n > maxBuildRows {
 		return nil, 0, fmt.Errorf("engine: hash build of %d rows exceeds the %d-row limit", n, maxBuildRows)
 	}
-	np := len(keys)
 	t := &joinTable{
-		parts: np,
-		keys:  make([]value.Value, n*np),
-		hash:  make([]uint64, n),
-		next:  make([]int32, n),
-		subs:  make([]slotTable, s),
+		rows: rows,
+		cols: make([]int, len(keys)),
+		hash: make([]uint64, n),
+		next: make([]int32, n),
+		subs: make([]slotTable, s),
 	}
+	for j, b := range keys {
+		if c, ok := b.Column(); ok {
+			t.cols[j] = c
+		} else {
+			t.cols[j] = -1
+			t.stored++
+		}
+	}
+	t.keys = make([]value.Value, n*t.stored)
 	var sub []int32 // sub-table of each row, -1 if unchained; implied 0 when S = 1
 	if s > 1 {
 		sub = make([]int32, n)
@@ -172,39 +192,45 @@ func buildTable(rows []table.Row, rowHash []uint64, keys []*expr.Binding, s int,
 	err := run(n, w, func(worker, lo, hi int) error {
 		bs := keys
 		if w > 1 {
-			bs = make([]*expr.Binding, np)
+			bs = make([]*expr.Binding, len(keys))
 			for j, b := range keys {
 				bs[j] = b.Clone()
 			}
 		}
 		m := meter{b: budget}
+	rows:
 		for i := lo; i < hi; i++ {
 			// Building produces nothing but must still honor the deadline.
 			if err := m.poll(); err != nil {
 				return err
 			}
-			row, key := rows[i], t.keys[i*np:(i+1)*np]
-			key[0] = bs[0].Eval(row)
-			if key[0].IsNull() {
-				t.next[i] = -1
-				if sub != nil {
-					sub[i] = -1
-				}
-				continue
-			}
+			row, own := rows[i], t.keys[i*t.stored:(i+1)*t.stored]
 			var h uint64
-			if rowHash != nil {
-				h = rowHash[i]
-			} else {
-				h = key[0].Hash()
-			}
-			if sub != nil {
-				sub[i] = int32(h % uint64(s))
-			}
-			ins[worker]++
-			for j := 1; j < np; j++ {
-				key[j] = bs[j].Eval(row)
-				h = combine(h, key[j].Hash())
+			for j, b := range bs {
+				v := b.Eval(row)
+				if t.cols[j] < 0 {
+					own[0], own = v, own[1:]
+				}
+				if j > 0 {
+					h = combine(h, v.Hash())
+					continue
+				}
+				if v.IsNull() {
+					t.next[i] = -1
+					if sub != nil {
+						sub[i] = -1
+					}
+					continue rows
+				}
+				if rowHash != nil {
+					h = rowHash[i]
+				} else {
+					h = v.Hash()
+				}
+				if sub != nil {
+					sub[i] = int32(h % uint64(s))
+				}
+				ins[worker]++
 			}
 			t.hash[i] = h
 		}

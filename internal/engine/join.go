@@ -18,10 +18,10 @@ type residual struct {
 
 // pairKernel is the loop body both join operators share. It pairs each outer
 // (left) row with inner rows — the build rows one hash chain selects, or
-// every inner row when there is no hash table — tests the residuals where
-// the two rows sit, and allocates a joined row only for a pair that passes.
-// Serial execution calls the body on this goroutine; each fan-out worker
-// calls the same body on its chunk through a clone with its own bindings.
+// every inner row when there is no hash table — and tests the residuals
+// where the two rows sit. A pair that passes is only recorded; once the
+// batch is matched, emit builds every joined row out of one allocation.
+// Each fan-out worker runs the same body through its own kernel of the crew.
 type pairKernel struct {
 	inner []table.Row     // build rows (hash join) or the inner relation (nested loop)
 	ht    *joinTable      // nil for a nested loop
@@ -29,7 +29,13 @@ type pairKernel struct {
 	key   []value.Value   // scratch: the probe key of the current outer row
 	res   []residual
 	m     meter
+	hits  []match       // scratch: the pairs the current call matched
+	crew  []*pairKernel // the kernels of a fan-out, this one first; kept for the join's life
 }
+
+// match is one passing pair: an outer row's index in its batch and an inner
+// row's index.
+type match struct{ l, r int }
 
 // clone gives a fan-out worker private bindings, scratch and deadline
 // countdown; the rows and the hash table are read-only and shared.
@@ -48,7 +54,20 @@ func (k *pairKernel) clone() *pairKernel {
 			c.res[i].rhs = r.rhs.Clone()
 		}
 	}
+	c.hits, c.crew = nil, nil
 	return &c
+}
+
+// workers returns the kernels of a w-worker fan-out: this one, then clones
+// made the first time a fan-out needs them.
+func (k *pairKernel) workers(w int) []*pairKernel {
+	if len(k.crew) == 0 {
+		k.crew = []*pairKernel{k}
+	}
+	for len(k.crew) < w {
+		k.crew = append(k.crew, k.clone())
+	}
+	return k.crew[:w]
 }
 
 // rowWork is the work one outer row costs: one probe, or a pass over the
@@ -60,34 +79,28 @@ func (k *pairKernel) rowWork() int {
 	return len(k.inner)
 }
 
-// op names the operator the kernel runs, for its spans and errors.
-func (k *pairKernel) op() string {
-	if k.ht != nil {
-		return obs.KHashProbe
-	}
-	return obs.KNestedLoop
-}
-
-// loop joins a run of outer rows. It returns the joined rows in outer order
-// and the operator's rows-in count for the run: outer rows probed, or row
-// pairs scanned. On a budget error the rows emitted so far come back with it.
-func (k *pairKernel) loop(outer []table.Row) ([]table.Row, int, error) {
+// loop matches the outer rows [lo, hi) of a batch into k.hits, in outer
+// order. It returns the operator's rows-in count for the run: outer rows
+// probed, or row pairs scanned. On a budget error the pairs matched so far
+// stay recorded.
+func (k *pairKernel) loop(outer []table.Row, lo, hi int) (int, error) {
+	k.hits = k.hits[:0]
 	if k.ht == nil {
-		return k.nestedLoop(outer)
+		return k.nestedLoop(outer, lo, hi)
 	}
-	return k.probe(outer)
+	return k.probe(outer, lo, hi)
 }
 
 // probe is the hash-join loop body. A key with a NULL part never matches.
-func (k *pairKernel) probe(outer []table.Row) ([]table.Row, int, error) {
-	var out []table.Row
+func (k *pairKernel) probe(outer []table.Row, lo, hi int) (int, error) {
 	key := k.key
 outer:
-	for _, l := range outer {
+	for i := lo; i < hi; i++ {
 		// Matchless probes produce nothing; poll the deadline anyway.
 		if err := k.m.poll(); err != nil {
-			return out, len(outer), err
+			return hi - lo, err
 		}
+		l := outer[i]
 		var h1, h uint64
 		for j, b := range k.pb {
 			v := b.Eval(l)
@@ -103,44 +116,40 @@ outer:
 		}
 		for r := k.ht.chain(h1, h); r != 0; r = k.ht.next[r-1] {
 			bi := int(r - 1)
-			if !k.ht.matches(bi, key) {
+			if !k.ht.matches(bi, key) || !k.pass(l, k.inner[bi]) {
 				continue
 			}
-			row := k.inner[bi]
-			if !k.pass(l, row) {
-				continue
-			}
-			out = append(out, joinRows(l, row))
+			k.hits = append(k.hits, match{i, bi})
 			if err := k.m.charge(1); err != nil {
-				return out, len(outer), err
+				return hi - lo, err
 			}
 		}
 	}
-	return out, len(outer), nil
+	return hi - lo, nil
 }
 
 // nestedLoop is the filtered-product loop body, the only strategy when no
 // predicate separates the children.
-func (k *pairKernel) nestedLoop(outer []table.Row) ([]table.Row, int, error) {
-	var out []table.Row
+func (k *pairKernel) nestedLoop(outer []table.Row, lo, hi int) (int, error) {
 	pairs := 0
-	for _, l := range outer {
-		for _, r := range k.inner {
+	for i := lo; i < hi; i++ {
+		l := outer[i]
+		for ri, r := range k.inner {
 			pairs++
 			if !k.pass(l, r) {
 				// Even rejected pairs consume work; poll the deadline.
 				if err := k.m.poll(); err != nil {
-					return out, pairs, err
+					return pairs, err
 				}
 				continue
 			}
-			out = append(out, joinRows(l, r))
+			k.hits = append(k.hits, match{i, ri})
 			if err := k.m.charge(1); err != nil {
-				return out, pairs, err
+				return pairs, err
 			}
 		}
 	}
-	return out, pairs, nil
+	return pairs, nil
 }
 
 // pass tests every residual on the pair (l, r).
@@ -157,33 +166,47 @@ func (k *pairKernel) pass(l, r table.Row) bool {
 	return true
 }
 
-// joinRows allocates the output row l ++ r.
-func joinRows(l, r table.Row) table.Row {
-	out := make(table.Row, len(l)+len(r))
-	copy(out, l)
-	copy(out[len(l):], r)
+// emit builds the joined rows l ++ r of the recorded matches, in match
+// order, from one slab of values and one row slice, both sized exactly.
+// Each row is a window of the slab capped at its own end, so an append to
+// one row reallocates it instead of overwriting the next.
+func (k *pairKernel) emit(outer []table.Row) []table.Row {
+	if len(k.hits) == 0 {
+		return nil
+	}
+	first := k.hits[0]
+	lw := len(outer[first.l])
+	w := lw + len(k.inner[first.r])
+	slab := make([]value.Value, len(k.hits)*w)
+	out := make([]table.Row, len(k.hits))
+	for i, m := range k.hits {
+		row := slab[i*w : (i+1)*w : (i+1)*w]
+		copy(row, outer[m.l])
+		copy(row[lw:], k.inner[m.r])
+		out[i] = row
+	}
 	return out
 }
 
-// run joins one batch: inline on this goroutine when w == 1 (no goroutine,
-// no KWorker spans), otherwise over w contiguous chunks, one kernel clone per
-// worker, with the outputs stitched in chunk order — the serial order.
+// run joins one batch over w contiguous chunks, one crew kernel per chunk,
+// each emitting its own matches; the outputs are stitched in chunk order —
+// the serial order. At w == 1 the runner calls the body inline.
 func (k *pairKernel) run(outer []table.Row, w int, run workerRunner) ([]table.Row, int, error) {
-	if w <= 1 {
-		return k.loop(outer)
-	}
-	bufs := make([][]table.Row, w)
+	crew := k.workers(w)
+	outs := make([][]table.Row, w)
 	ins := make([]int, w)
 	err := run(len(outer), w, func(worker, lo, hi int) error {
+		c := crew[worker]
 		var err error
-		bufs[worker], ins[worker], err = k.clone().loop(outer[lo:hi])
+		ins[worker], err = c.loop(outer, lo, hi)
+		outs[worker] = c.emit(outer)
 		return err
 	})
 	in := 0
 	for _, n := range ins {
 		in += n
 	}
-	return stitch(bufs), in, err
+	return stitch(outs), in, err
 }
 
 // joinIter runs a join over the batches its left child streams: a hash probe
@@ -197,6 +220,7 @@ type joinIter struct {
 	jsp, sp *obs.Span
 	left    rowIter
 	k       *pairKernel
+	run     workerRunner
 	in      int
 	emitted int
 	fanned  bool
@@ -216,15 +240,11 @@ func (j *joinIter) Next() ([]table.Row, error) {
 		}
 		// Every worker gets at least one outer row.
 		w := min(j.e.workers(len(batch)*j.k.rowWork()), len(batch))
-		var run workerRunner
-		if w > 1 {
-			if !j.fanned {
-				j.fanned = true
-				j.sp.SetNum("workers", float64(w))
-			}
-			run = j.e.runner(j.k.op(), j.sp)
+		if w > 1 && !j.fanned {
+			j.fanned = true
+			j.sp.SetNum("workers", float64(w))
 		}
-		out, in, err := j.k.run(batch, w, run)
+		out, in, err := j.k.run(batch, w, j.run)
 		j.in += in
 		j.emitted += len(out)
 		if err != nil {

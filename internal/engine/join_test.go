@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"monsoon/internal/expr"
+	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
 	"monsoon/internal/table"
@@ -209,5 +210,79 @@ func TestMultiKeyJoinMatchesNestedLoop(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// probeKernel builds a hash-join kernel over 4000 build rows (k, 10k) keyed
+// on k = 0..3999, probed by one-column outer rows on their only column.
+func probeKernel(t *testing.T) *pairKernel {
+	t.Helper()
+	bs := table.NewSchema(table.Column{Table: "B", Name: "k", Kind: value.KindInt},
+		table.Column{Table: "B", Name: "v", Kind: value.KindInt})
+	build := make([]table.Row, 4000)
+	for i := range build {
+		build[i] = table.Row{value.Int(int64(i)), value.Int(int64(10 * i))}
+	}
+	bk, ok1 := expr.Identity("B.k").Bind(bs)
+	pk, ok2 := expr.Identity("P.a").Bind(table.NewSchema(table.Column{Table: "P", Name: "a", Kind: value.KindInt}))
+	if !ok1 || !ok2 {
+		t.Fatal("key not bindable")
+	}
+	ht, _, err := buildTable(build, nil, []*expr.Binding{bk}, 1, &Budget{}, 1, (&Exec{}).runner(obs.KHashBuild, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &pairKernel{inner: build, ht: ht, pb: []*expr.Binding{pk}, key: make([]value.Value, 1), m: meter{b: &Budget{}}}
+}
+
+// probeBatch is a 4096-row outer batch whose first matched rows find a build
+// row and whose others find none.
+func probeBatch(matched int) []table.Row {
+	batch := make([]table.Row, 4096)
+	for i := range batch {
+		v := int64(i)
+		if i >= matched {
+			v = -1 - v
+		}
+		batch[i] = table.Row{value.Int(v)}
+	}
+	return batch
+}
+
+// TestProbeAllocsPerBatch: a probe batch allocates a fixed number of objects
+// — the emitted slab and row slice, and the call's bookkeeping — however
+// many rows it joins.
+func TestProbeAllocsPerBatch(t *testing.T) {
+	k := probeKernel(t)
+	run := (&Exec{}).runner(obs.KHashProbe, nil)
+	allocs := func(matched int) float64 {
+		batch := probeBatch(matched)
+		return testing.AllocsPerRun(20, func() {
+			out, in, err := k.run(batch, 1, run)
+			if err != nil || in != len(batch) || len(out) != matched {
+				t.Fatalf("matched %d: %d rows, %d in, err %v", matched, len(out), in, err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(4000); few != many {
+		t.Errorf("a 4096-row probe batch allocates %v objects for 10 matches but %v for 4000", few, many)
+	}
+}
+
+// TestEmittedRowsAreCapped: joined rows share one slab, yet appending to one
+// leaves its neighbour intact.
+func TestEmittedRowsAreCapped(t *testing.T) {
+	k := probeKernel(t)
+	out, _, err := k.run(probeBatch(3), 1, (&Exec{}).runner(obs.KHashProbe, nil))
+	if err != nil || len(out) != 3 {
+		t.Fatalf("%d rows, err %v; want 3", len(out), err)
+	}
+	want := table.Row{value.Int(1), value.Int(1), value.Int(10)}
+	if !reflect.DeepEqual(out[1], want) {
+		t.Fatalf("row 1 = %v, want %v", out[1], want)
+	}
+	grown := append(out[0], value.String("appended"))
+	if len(grown) != 4 || !reflect.DeepEqual(out[1], want) {
+		t.Errorf("appending to row 0 changed row 1 to %v", out[1])
 	}
 }

@@ -67,7 +67,8 @@ func splitRows(n, w int) [][2]int {
 }
 
 // workerRunner fans a partitioned loop body out over w workers over n rows,
-// calling it inline when w <= 1. Exec.runner builds one per operator.
+// calling it inline when w <= 1. Exec.runner builds one per operator; every
+// partitionable operator runs its loop body through one, at any width.
 type workerRunner func(n, w int, fn func(worker, lo, hi int) error) error
 
 // runner returns the worker runner for one parallel operator of kind op. It
@@ -79,10 +80,12 @@ type workerRunner func(n, w int, fn func(worker, lo, hi int) error) error
 // barrier; each span's duration is the worker's own measured busy time
 // (EndIn), not the coordinator's wall clock. Worker *counts* still follow
 // GOMAXPROCS, which is why KWorker is the one machine-dependent span kind.
+// A panic in fn becomes an error naming op, inline or on a worker.
 func (e *Exec) runner(op string, sp *obs.Span) workerRunner {
 	traced := sp != nil && e.Obs.Active()
-	return func(n, w int, fn func(worker, lo, hi int) error) error {
+	return func(n, w int, fn func(worker, lo, hi int) error) (err error) {
 		if w <= 1 {
+			defer catch(op, 0, &err)
 			return fn(0, 0, n)
 		}
 		parts := splitRows(n, w)
@@ -114,9 +117,7 @@ func (e *Exec) runner(op string, sp *obs.Span) workerRunner {
 }
 
 // fanOut runs fn on one goroutine per partition and reports each one's busy
-// time and error. A panic in fn — a caller's UDF failing on some value —
-// becomes that partition's error, naming the operator op, instead of
-// killing the process.
+// time and error.
 func fanOut(op string, parts [][2]int, fn func(worker, lo, hi int) error) ([]time.Duration, []error) {
 	elapsed := make([]time.Duration, len(parts))
 	errs := make([]error, len(parts))
@@ -126,12 +127,10 @@ func fanOut(op string, parts [][2]int, fn func(worker, lo, hi int) error) ([]tim
 		go func(i, lo, hi int) {
 			t0 := time.Now()
 			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("engine: %s worker %d panicked: %v", op, i, r)
-				}
 				elapsed[i] = time.Since(t0)
 				wg.Done()
 			}()
+			defer catch(op, i, &errs[i])
 			errs[i] = fn(i, lo, hi)
 		}(i, p[0], p[1])
 	}
@@ -139,12 +138,29 @@ func fanOut(op string, parts [][2]int, fn func(worker, lo, hi int) error) ([]tim
 	return elapsed, errs
 }
 
-// stitch concatenates per-worker output buffers in partition order, which is
-// exactly the order the serial loop would have produced.
+// catch, deferred, turns a panic of the loop body — a caller's UDF failing
+// on some value — into *err, naming the operator op and the worker, instead
+// of letting it kill the process.
+func catch(op string, worker int, err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("engine: %s worker %d panicked: %v", op, worker, r)
+	}
+}
+
+// stitch concatenates per-worker output buffers (or a drained iterator's
+// batches) in order into one exactly sized slice: the order the serial loop
+// would have produced. A sole buffer is returned as it is, capped at its
+// length so that no append can reach the rows past it.
 func stitch(bufs [][]table.Row) []table.Row {
+	if len(bufs) == 1 {
+		return bufs[0][:len(bufs[0]):len(bufs[0])]
+	}
 	total := 0
 	for _, b := range bufs {
 		total += len(b)
+	}
+	if total == 0 {
+		return nil
 	}
 	out := make([]table.Row, 0, total)
 	for _, b := range bufs {
@@ -195,18 +211,17 @@ func filter(bound []boundSel, rows []table.Row, budget *Budget) ([]table.Row, er
 	return out, nil
 }
 
-// runFilter filters one slab: inline when w == 1, otherwise over w
-// contiguous chunks, each worker with cloned bindings, outputs stitched in
-// input order.
+// runFilter filters one slab over w contiguous chunks, each worker of a
+// fan-out with cloned bindings, outputs stitched in input order.
 func runFilter(bound []boundSel, rows []table.Row, budget *Budget, w int, run workerRunner) ([]table.Row, error) {
-	if w <= 1 {
-		return filter(bound, rows, budget)
-	}
 	bufs := make([][]table.Row, w)
 	err := run(len(rows), w, func(worker, lo, hi int) error {
-		own := make([]boundSel, len(bound))
-		for i, s := range bound {
-			own[i] = boundSel{b: s.b.Clone(), k: s.k}
+		own := bound
+		if w > 1 {
+			own = make([]boundSel, len(bound))
+			for i, s := range bound {
+				own[i] = boundSel{b: s.b.Clone(), k: s.k}
+			}
 		}
 		var err error
 		bufs[worker], err = filter(own, rows[lo:hi], budget)
@@ -219,11 +234,12 @@ func runFilter(bound []boundSel, rows []table.Row, budget *Budget, w int, run wo
 // the caller's term order.
 type sigmaSketches []*sketch.HLL
 
-// parallelSigma runs the Σ pass fan-out: each worker clones one HLL per term,
-// scans its chunk, and the clones are merged register-wise afterwards — the
-// merge is a per-register max, so the merged estimate is identical to the
-// serial single-sketch estimate regardless of partitioning.
-func parallelSigma(rel *table.Relation, terms []*query.Term, p uint8, budget *Budget, w int, run workerRunner) (sigmaSketches, error) {
+// sigmaPass runs the Σ pass over w workers: each worker binds the terms and
+// fills one HLL per term from its chunk, and with several workers the
+// sketches are merged register-wise afterwards — the merge is a
+// per-register max, so the merged estimate is identical to the serial
+// single-sketch estimate regardless of partitioning.
+func sigmaPass(rel *table.Relation, terms []*query.Term, p uint8, budget *Budget, w int, run workerRunner) (sigmaSketches, error) {
 	clones := make([]sigmaSketches, w)
 	err := run(rel.Count(), w, func(worker, lo, hi int) error {
 		bs := make([]*expr.Binding, len(terms))
@@ -251,6 +267,9 @@ func parallelSigma(rel *table.Relation, terms []*query.Term, p uint8, budget *Bu
 	if err != nil {
 		return nil, err
 	}
+	if w == 1 {
+		return clones[0], nil
+	}
 	merged := make(sigmaSketches, len(terms))
 	for i := range terms {
 		merged[i] = sketch.NewHLL(p)
@@ -259,32 +278,6 @@ func parallelSigma(rel *table.Relation, terms []*query.Term, p uint8, budget *Bu
 		}
 	}
 	return merged, nil
-}
-
-// serialSigma runs one relation's Σ pass inline — the per-shard fallback
-// when a shard is too small to fan out. Charging and estimates match the
-// parallel path exactly.
-func serialSigma(rel *table.Relation, terms []*query.Term, p uint8, budget *Budget) (sigmaSketches, error) {
-	bs := make([]*expr.Binding, len(terms))
-	hs := make(sigmaSketches, len(terms))
-	for i, t := range terms {
-		bs[i], _ = t.Fn.Bind(rel.Schema)
-		hs[i] = sketch.NewHLL(p)
-	}
-	m := meter{b: budget}
-	for _, row := range rel.Rows {
-		if err := m.charge(1); err != nil {
-			return nil, err
-		}
-		for i, b := range bs {
-			v := b.Eval(row)
-			if v.IsNull() {
-				continue
-			}
-			hs[i].Add(v.Hash())
-		}
-	}
-	return hs, nil
 }
 
 // shardedSigma is the partial-Σ exchange: the materialized result is
@@ -308,14 +301,11 @@ func (e *Exec) shardedSigma(op *obs.Span, rel *table.Relation, terms []*query.Te
 	for si, part := range parts {
 		ssp := e.Obs.StartChild(op, obs.KShard, fmt.Sprintf("s%d", si)).SetRows(len(part), len(terms))
 		shard := table.NewRelation(rel.Name, rel.Schema, part)
-		var partials sigmaSketches
-		var err error
-		if w := e.workers(len(part)); w > 1 {
+		w := e.workers(len(part))
+		if w > 1 {
 			ssp.SetNum("workers", float64(w))
-			partials, err = parallelSigma(shard, terms, p, budget, w, e.runner(obs.KSigma, ssp))
-		} else {
-			partials, err = serialSigma(shard, terms, p, budget)
 		}
+		partials, err := sigmaPass(shard, terms, p, budget, w, e.runner(obs.KSigma, ssp))
 		if err != nil {
 			ssp.SetStr("err", err.Error()).End()
 			return nil, err

@@ -64,8 +64,9 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedLargeParallel crosses the fan-out thresholds: the big fixture's
-// co-partitioned join exercises parallelShardedBuild, the shard-local scan's
-// per-shard parallelFilter, and the sharded partial-Σ merge at real widths.
+// co-partitioned join exercises buildTable's fan-out on the zero-copy
+// shard-local build, the probe side's runFilter fan-out, and the sharded
+// partial-Σ merge at real widths.
 func TestShardedLargeParallel(t *testing.T) {
 	q := bigQuery()
 	tree := plan.NewJoin(leaf(q, "BR"), leaf(q, "BS")).WithSigma()

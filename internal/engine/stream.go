@@ -75,11 +75,12 @@ func (e *Exec) scanSlab() int {
 
 // rowIter is the pull-based batch iterator every streaming operator
 // implements. Next returns the next non-empty batch of rows, nil when
-// exhausted; returned batches must not be retained past the next Next call
-// by operators that reuse buffers (none currently do — batches alias either
-// base-table rows or freshly allocated join outputs). Close must be called
-// exactly once, with the error that stopped the drain (nil on a clean run);
-// it ends the iterator's spans and cascades to children.
+// exhausted. No iterator returns a buffer it reuses — a batch aliases
+// stored rows or is freshly allocated — so a batch stays valid after later
+// pulls, and a pipeline breaker may hold every batch and gather them once
+// (drain). Close must be called exactly once, with the error that stopped
+// the drain (nil on a clean run); it ends the iterator's spans and cascades
+// to children.
 type rowIter interface {
 	Next() ([]table.Row, error)
 	Close(err error)
@@ -121,6 +122,26 @@ func (t *nodeIter) Next() ([]table.Row, error) {
 }
 
 func (t *nodeIter) Close(err error) { t.inner.Close(err) }
+
+// drain pulls it dry and gathers its batches into one exactly sized slice
+// (stitch), calling each, when set, after every batch: the gather of a
+// pipeline breaker. On an error it returns the error; the caller closes it.
+func drain(it rowIter, each func()) ([]table.Row, error) {
+	var batches [][]table.Row
+	for {
+		b, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return stitch(batches), nil
+		}
+		batches = append(batches, b)
+		if each != nil {
+			each()
+		}
+	}
+}
 
 // open builds the iterator pipeline for a plan node and wraps it with
 // accounting. parent is the enclosing join's umbrella span, nil at the tree
@@ -269,15 +290,11 @@ func (s *scanIter) Next() ([]table.Row, error) {
 			return rows, nil
 		}
 		w := s.e.workers(len(rows))
-		var run workerRunner
-		if w > 1 {
-			if !s.fanned {
-				s.fanned = true
-				s.sp.SetNum("workers", float64(w))
-			}
-			run = s.e.runner(obs.KScan, s.sp)
+		if w > 1 && !s.fanned {
+			s.fanned = true
+			s.sp.SetNum("workers", float64(w))
 		}
-		out, err := runFilter(s.bound, rows, s.budget, w, run)
+		out, err := runFilter(s.bound, rows, s.budget, w, s.e.runner(obs.KScan, s.sp))
 		s.kept += len(out)
 		if err != nil {
 			s.fail = err
@@ -400,17 +417,10 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	if zeroRel != nil {
 		buildRel = zeroRel
 	} else {
-		var rrows []table.Row
-		for {
-			b, err := right.Next()
-			if err != nil {
-				right.Close(err)
-				return fail(err, left)
-			}
-			if b == nil {
-				break
-			}
-			rrows = append(rrows, b...)
+		rrows, err := drain(right, nil)
+		if err != nil {
+			right.Close(err)
+			return fail(err, left)
 		}
 		right.Close(nil)
 		buildRel = table.NewRelation(n.Right.Key(), rschema, rrows)
@@ -419,7 +429,7 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	if !hashed {
 		sp := e.Obs.StartChild(jsp, obs.KNestedLoop, n.Key()).SetNum("residuals", float64(len(residuals)))
 		k := &pairKernel{inner: buildRel.Rows, res: residuals, m: meter{b: budget}}
-		return &joinIter{e: e, jsp: jsp, sp: sp, left: left, k: k}, outSchema, nil
+		return &joinIter{e: e, jsp: jsp, sp: sp, left: left, k: k, run: e.runner(obs.KNestedLoop, sp)}, outSchema, nil
 	}
 
 	bks := make([]*expr.Binding, len(buildTerms))
@@ -473,7 +483,7 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	bsp.SetRows(buildRel.Count(), inserted).SetNum("residuals", float64(len(residuals))).End()
 	psp := e.Obs.StartChild(jsp, obs.KHashProbe, n.Key())
 	k := &pairKernel{inner: buildRel.Rows, ht: ht, pb: pbs, key: make([]value.Value, len(pbs)), res: residuals, m: meter{b: budget}}
-	return &joinIter{e: e, jsp: jsp, sp: psp, left: left, k: k}, outSchema, nil
+	return &joinIter{e: e, jsp: jsp, sp: psp, left: left, k: k, run: e.runner(obs.KHashProbe, psp)}, outSchema, nil
 }
 
 // coPartitioned reports whether a join's build child is served directly by
@@ -602,13 +612,13 @@ func (e *Exec) openShardLeaf(q *query.Query, n *plan.Node, budget *Budget, paren
 	return it, base.Schema, nil
 }
 
-// shardScanIter is the shard-local scan of a co-partitioned build side: it
-// drains the table's storage shards in shard-index order, applying
-// pushed-down selections slab by slab exactly like scanIter (same budget
-// charges — per-slab counts without selections, per-kept-row with — so
-// totals are identical to the unsharded scan). Shard-major output order is
-// safe only because the consumer is a hash-routed build whose per-key
-// layout is shard-order-independent; it is never a streaming probe side.
+// shardScanIter is the shard-local scan of a co-partitioned build side with
+// pushed-down selections (openShardZero serves one without): it drains the
+// table's storage shards in shard-index order, applying the selections slab
+// by slab exactly like scanIter (the same per-kept-row charges, so totals
+// are identical to the unsharded scan). Shard-major output order is safe
+// only because the consumer is a hash-routed build whose per-key layout is
+// shard-order-independent; it is never a streaming probe side.
 type shardScanIter struct {
 	e       *Exec
 	sp      *obs.Span
@@ -620,7 +630,7 @@ type shardScanIter struct {
 	si      int         // current shard index
 	pos     int         // position within the current shard
 	cur     *obs.Span   // current shard's KShard span
-	buf     []table.Row // reusable gather buffer (batches are not retained)
+	buf     []table.Row // gather buffer, reused: only the filter reads it
 	curKept int
 	total   int
 	kept    int
@@ -648,8 +658,8 @@ func (s *shardScanIter) Next() ([]table.Row, error) {
 		}
 		s.pos = hi
 		// Gather the shard's rows through the layout's permutation into a
-		// reusable buffer; consumers copy what they keep before the next
-		// pull, per the rowIter contract.
+		// reusable buffer. The filter copies the rows it keeps, so the
+		// buffer itself is never handed out.
 		ids := idx[lo:hi]
 		if cap(s.buf) < len(ids) {
 			s.buf = make([]table.Row, len(ids))
@@ -659,25 +669,12 @@ func (s *shardScanIter) Next() ([]table.Row, error) {
 			rows[j] = s.base.Rows[id]
 		}
 		s.total += len(rows)
-		if s.bound == nil {
-			s.kept += len(rows)
-			s.curKept += len(rows)
-			if err := s.budget.Charge(len(rows)); err != nil {
-				s.fail = err
-				return nil, err
-			}
-			return rows, nil
-		}
 		w := s.e.workers(len(rows))
-		var run workerRunner
-		if w > 1 {
-			if !s.fanned {
-				s.fanned = true
-				s.sp.SetNum("workers", float64(w))
-			}
-			run = s.e.runner(obs.KScan, s.cur)
+		if w > 1 && !s.fanned {
+			s.fanned = true
+			s.sp.SetNum("workers", float64(w))
 		}
-		out, err := runFilter(s.bound, rows, s.budget, w, run)
+		out, err := runFilter(s.bound, rows, s.budget, w, s.e.runner(obs.KScan, s.cur))
 		s.kept += len(out)
 		s.curKept += len(out)
 		if err != nil {

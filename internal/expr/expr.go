@@ -135,6 +135,15 @@ func pick(l, r table.Row, p int) value.Value {
 // UDF returns the bound function.
 func (b *Binding) UDF() *UDF { return b.udf }
 
+// Column reports the schema position an identity binding reads; ok is false
+// for any other UDF, whose value exists only once Fn computes it.
+func (b *Binding) Column() (pos int, ok bool) {
+	if !b.udf.identity {
+		return 0, false
+	}
+	return b.pos[0], true
+}
+
 // Rebase returns a copy of the UDF with every argument's alias rewritten
 // through the given mapping (old alias -> new alias). Arguments whose alias
 // is absent from the map keep their alias. Benchmarks use this to instantiate
